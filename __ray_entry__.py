@@ -309,7 +309,7 @@ def _oracle_cfg():
     the all-pairs SQL oracle BY CONSTRUCTION (the ``ann_topk_ivf``
     nprobe=nlist move applied to the flagship). The probabilistic
     production config (banded LSH b16/r8, estimate verify) is benched in
-    bench.py and recall/precision-gated in tests/test_neardup.py."""
+    perfbench/ and recall/precision-gated in tests/test_neardup.py."""
     from europa_ray.config import EngineConfig
 
     return EngineConfig(candidates="all", verify_mode="exact")
@@ -369,14 +369,6 @@ def _q_ngram_jaccard_pairs(sf_dir: str):
     from europa_ray.sources.augment import with_mutants
 
     return exact_jaccard_pairs(with_mutants(_docs(sf_dir)), id_cols=("doc_id",))
-
-
-def _q_doc_top_terms(sf_dir: str):
-    """Per-doc top-5 distinctive terms: integer-exact tf-idf ordering
-    (tf DESC, df ASC, term) — broadcast df table, no doc-keyed shuffle."""
-    from europa_ray.pipelines.keywords import doc_top_terms
-
-    return doc_top_terms(_docs(sf_dir), k=5)
 
 
 def _q_containment_pairs(sf_dir: str):
@@ -902,16 +894,6 @@ def _q_cross_repo_line_stats(sf_dir: str):
     return cross_repo_line_stats(with_code_docs(_docs(sf_dir)))
 
 
-def _q_latest_file_versions(sf_dir: str):
-    """Commit-aware version dedup over the version-augmented corpus: keep
-    the newest commit per (repo, path) — metadata-only combiner + one
-    file-cardinality groupby."""
-    from europa_ray.pipelines.versions import latest_file_versions
-    from europa_ray.sources.augment import with_versions
-
-    return latest_file_versions(with_versions(_docs(sf_dir)))
-
-
 def _q_doc_chunks(sf_dir: str):
     """Fixed-size disjoint 16-token chunking plan (doc_id, chunk_idx,
     n_tokens, chunk_sha) — one zero-copy Arrow re-offsetting pass."""
@@ -1080,72 +1062,6 @@ def _q_split_assign(sf_dir: str):
     return split_assign(_docs(sf_dir))
 
 
-def _q_repo_stats(sf_dir: str):
-    """Per-repo rollup over the dup-augmented corpus: files, chars,
-    distinct langs, and files duplicated corpus-wide."""
-    from europa_ray.pipelines.repostats import repo_stats
-    from europa_ray.sources.augment import with_exact_dups
-
-    return repo_stats(with_exact_dups(_docs(sf_dir)))
-
-
-def _q_vocab_kmv_sketch(sf_dir: str):
-    """Bottom-k (KMV) sketch of the corpus vocabulary: the 256 smallest
-    distinct 16-hex word-hash prefixes — deterministic, so the
-    'approximate' sketch is value-checked exactly."""
-    from europa_ray.pipelines.sketch import vocab_kmv_sketch
-
-    return vocab_kmv_sketch(_docs(sf_dir), k=16)
-
-
-def _q_distinct_word_estimate(sf_dir: str):
-    """KMV distinct-word estimator (k−1)·2^64 // h_k in exact integer
-    arithmetic — one row, no shuffle at any scale. k=16 < corpus
-    vocabulary, so the ESTIMATOR branch (not the exact-count fallback)
-    is what the oracle checks."""
-    from europa_ray.pipelines.sketch import distinct_word_estimate
-
-    return distinct_word_estimate(_docs(sf_dir), k=16)
-
-
-def _q_wordcount_cm_sketch(sf_dir: str):
-    """Count-Min sketch of word occurrences (3×512 counter matrix) —
-    deterministic given the fixed row hashes, every cell value-checked."""
-    from europa_ray.pipelines.sketch import wordcount_cm_sketch
-
-    return wordcount_cm_sketch(_docs(sf_dir))
-
-
-def _q_cm_word_estimates(sf_dir: str):
-    """Count-Min accuracy audit: exact top-10 words probed against the
-    sketch matrix — (word, n_true, n_est) with n_est ≥ n_true guaranteed."""
-    from europa_ray.pipelines.sketch import cm_word_estimates
-
-    return cm_word_estimates(_docs(sf_dir), probe_k=10)
-
-
-def _q_vocab_jaccard_kmv(sf_dir: str):
-    """Two-corpus vocabulary Jaccard from bottom-k sketches (documents vs
-    the code-shaped fixture): (k_union, n_common) integers, k=16 < both
-    vocabularies so both sketches truncate."""
-    from europa_ray.pipelines.sketch import vocab_jaccard_kmv
-    from europa_ray.sources.augment import with_code_docs
-
-    return vocab_jaccard_kmv(
-        _docs(sf_dir), with_code_docs(_docs(sf_dir)), k=16
-    )
-
-
-def _q_gram_novelty(sf_dir: str):
-    """Per-doc duplicate-n-gram profile (RefinedWeb's cross-doc duplicated
-    n-gram signal) over the excerpt-augmented corpus — every excerpt's
-    grams are fully duplicated in its source doc."""
-    from europa_ray.pipelines.novelty import gram_novelty
-    from europa_ray.sources.augment import with_excerpts
-
-    return gram_novelty(with_excerpts(_docs(sf_dir)), k=5)
-
-
 def _q_dup_rate_by_lang(sf_dir: str):
     """Per-language exact-duplication profile over the dup-augmented
     corpus: docs, docs-in-a-dup-group, distinct dup digests per lang."""
@@ -1153,17 +1069,6 @@ def _q_dup_rate_by_lang(sf_dir: str):
     from europa_ray.sources.augment import with_exact_dups
 
     return dup_rate_by_lang(with_exact_dups(_docs(sf_dir)))
-
-
-def _q_split_leakage(sf_dir: str):
-    """Near-dup train/test leakage audit: per ordered split pair, the
-    normalization-tier digest groups with a member in BOTH splits —
-    formatting-only variants CAN straddle the content-hash-keyed split,
-    and this counts exactly those leaks (over the format-mutant fixture)."""
-    from europa_ray.pipelines.leakage import split_leakage
-    from europa_ray.sources.augment import with_format_mutants
-
-    return split_leakage(with_format_mutants(_docs(sf_dir)))
 
 
 def _q_length_outliers(sf_dir: str):
@@ -1219,38 +1124,6 @@ def _q_quality_buckets(sf_dir: str):
     from europa_ray.pipelines.textstats import quality_buckets
 
     return quality_buckets(_docs(sf_dir))
-
-
-def _q_lm_doc_scores(sf_dir: str):
-    """Unigram-LM surprisal per document (CCNet's LM-quality signal with
-    the corpus's own unigram MLE as the model): lm_score = log10(T) -
-    mean(log10 c(w)) over single-space-split token instances. The raw
-    double is rounded to 6 decimals on both sides (the repo's float-hash
-    convention)."""
-    from europa_ray.pipelines.lm import unigram_lm_scores
-
-    ds = unigram_lm_scores(_docs(sf_dir))
-
-    def rnd(b):
-        import numpy as np
-        import pyarrow as pa
-
-        idx = b.column_names.index("lm_score")
-        return b.set_column(
-            idx, "lm_score", pa.array(np.round(b["lm_score"].to_numpy(), 6))
-        )
-
-    return ds.map_batches(rnd, batch_format="pyarrow")
-
-
-def _q_lm_quality_buckets(sf_dir: str):
-    """CCNet head/middle/tail bucketing on the unigram-LM score (the
-    LM-backed twin of quality_buckets): score is the NEGATED half-up
-    micro-unit surprisal (low surprisal = fluent = head), cut at exact
-    per-language terciles."""
-    from europa_ray.pipelines.lm import lm_quality_buckets
-
-    return lm_quality_buckets(_docs(sf_dir))
 
 
 def _q_packing_plan(sf_dir: str):
@@ -1422,7 +1295,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "identifier_stats": wrap(_q_identifier_stats),
         "top_identifiers": wrap(_q_top_identifiers),
         "cross_repo_line_stats": wrap(_q_cross_repo_line_stats),
-        "latest_file_versions": wrap(_q_latest_file_versions),
         "doc_chunks": wrap(_q_doc_chunks),
         "chunk_dup_stats": wrap(_q_chunk_dup_stats),
         "sliding_window_counts": wrap(_q_sliding_window_counts),
@@ -1433,22 +1305,12 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "priority_sample": wrap(_q_priority_sample),
         "event_dedup_stats": wrap(_q_event_dedup_stats),
         "split_assign": wrap(_q_split_assign),
-        "split_leakage": wrap(_q_split_leakage),
         "dup_rate_by_lang": wrap(_q_dup_rate_by_lang),
-        "gram_novelty": wrap(_q_gram_novelty),
-        "repo_stats": wrap(_q_repo_stats),
-        "vocab_kmv_sketch": wrap(_q_vocab_kmv_sketch),
-        "distinct_word_estimate": wrap(_q_distinct_word_estimate),
-        "vocab_jaccard_kmv": wrap(_q_vocab_jaccard_kmv),
-        "wordcount_cm_sketch": wrap(_q_wordcount_cm_sketch),
-        "cm_word_estimates": wrap(_q_cm_word_estimates),
         "length_outliers": wrap(_q_length_outliers),
         "mixture_sample": wrap(_q_mixture_sample),
         "temperature_sample": wrap(_q_temperature_sample),
         "packing_plan": wrap(_q_packing_plan),
         "quality_buckets": wrap(_q_quality_buckets),
-        "lm_doc_scores": wrap(_q_lm_doc_scores),
-        "lm_quality_buckets": wrap(_q_lm_quality_buckets),
         # --- last driver-verified in r3; re-prove after r4 refactors ---
         "line_dup_stats": wrap(_q_line_dup_stats),
         "line_dedup_stats": wrap(_q_line_dedup_stats),
@@ -1492,7 +1354,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "containment_pairs": wrap(_q_containment_pairs),
         "containment_kept_nodes": wrap(_q_containment_kept),
         "cross_corpus_containment": wrap(_q_cross_corpus_containment),
-        "doc_top_terms": wrap(_q_doc_top_terms),
         "ann_topk": wrap(_q_ann_topk),
         "ann_topk_lsh": wrap(_q_ann_topk_lsh),
         "ann_topk_ivf": wrap(_q_ann_topk_ivf),
@@ -1972,89 +1833,6 @@ _CONTAINMENT_CTE = r"""
               FROM grams g1 JOIN grams g2 USING (gram)
               WHERE g1.node <> g2.node GROUP BY 1, 2
             )"""
-
-
-def _cm_cells_ctes(width: int = 512) -> list[str]:
-    """Count-Min cell CTEs: per token occurrence, bucket_r =
-    splitmix64(xor(u64(sha256(word)[:16]), seed_r)) % width via the shared
-    ``_sm_sql_stages`` scaffold; ``cellagg`` = per-(row, bucket) counts."""
-    from europa_ray.pipelines.sketch import CM_SEEDS
-
-    ctes = [
-        """toks AS (
-            SELECT unnest(string_split(text, ' ')) AS w FROM documents
-            WHERE text IS NOT NULL AND length(text) > 0
-        )""",
-        """h AS (
-            SELECT ('0x' || substr(sha256(w), 1, 16))::UBIGINT AS u
-            FROM toks WHERE w <> ''
-        )""",
-    ]
-    cur = "h"
-    step = 0
-    outs = []
-    for r, seed in enumerate(CM_SEEDS):
-        defs, out = _sm_sql_stages(f"r{r}", f"xor(u, {seed}::UBIGINT)")
-        for d in defs:
-            step += 1
-            ctes.append(f"c{step} AS (SELECT *, {d} FROM {cur})")
-            cur = f"c{step}"
-        outs.append(out)
-    sel = "\nUNION ALL\n".join(
-        f"SELECT {r} AS cm_row, CAST({out} % {width} AS BIGINT) AS bucket FROM {cur}"
-        for r, out in enumerate(outs)
-    )
-    ctes.append(f"cells AS ({sel})")
-    ctes.append(
-        "cellagg AS (SELECT cm_row, bucket, CAST(count(*) AS BIGINT) AS c "
-        "FROM cells GROUP BY cm_row, bucket)"
-    )
-    return ctes
-
-
-def _cm_sketch_sql(width: int = 512) -> str:
-    return (
-        "WITH "
-        + ",\n".join(_cm_cells_ctes(width))
-        + " SELECT cm_row, bucket, c FROM cellagg ORDER BY cm_row, bucket"
-    )
-
-
-def _cm_estimates_sql(probe_k: int = 10, width: int = 512) -> str:
-    """CM accuracy-audit oracle: exact top-``probe_k`` words probed against
-    the cell matrix — least() over the three row cells."""
-    from europa_ray.pipelines.sketch import CM_SEEDS
-
-    ctes = _cm_cells_ctes(width)
-    ctes.append(
-        f"""topk AS (
-            SELECT w AS word, CAST(count(*) AS BIGINT) AS n FROM toks
-            WHERE w <> '' GROUP BY w ORDER BY n DESC, word ASC LIMIT {probe_k}
-        )"""
-    )
-    ctes.append(
-        "ph AS (SELECT word, n, "
-        "('0x' || substr(sha256(word), 1, 16))::UBIGINT AS u FROM topk)"
-    )
-    cur = "ph"
-    step = 0
-    lookups = []
-    for r, seed in enumerate(CM_SEEDS):
-        defs, out = _sm_sql_stages(f"p{r}", f"xor(u, {seed}::UBIGINT)")
-        for d in defs:
-            step += 1
-            ctes.append(f"d{step} AS (SELECT *, {d} FROM {cur})")
-            cur = f"d{step}"
-        lookups.append(
-            f"coalesce((SELECT c FROM cellagg WHERE cm_row = {r} "
-            f"AND bucket = CAST({out} % {width} AS BIGINT)), 0)"
-        )
-    return (
-        "WITH "
-        + ",\n".join(ctes)
-        + f" SELECT word, n AS n_true, least({', '.join(lookups)}) AS n_est "
-        + f"FROM {cur} ORDER BY word"
-    )
 
 
 def oracle_sql() -> dict[str, str]:
@@ -2971,42 +2749,6 @@ def oracle_sql() -> dict[str, str]:
             FROM lines l LEFT JOIN multi m ON l.line = m.ml
             GROUP BY repo
         """,
-        # Latest-version dedup over the versioned fixture (CTE mirrors
-        # sources/augment.py with_versions; repo/path/commit synthesis
-        # mirrors sources/files.py _docs_to_files). The engine's packed
-        # (commit, doc_id) argmax ≡ ORDER BY commit DESC, doc_id DESC.
-        "latest_file_versions": r"""
-            WITH versioned AS (
-              SELECT doc_id, source AS repo,
-                     doc_id || '.' || CASE doc_id % 8
-                       WHEN 0 THEN 'py' WHEN 1 THEN 'rs' WHEN 2 THEN 'go'
-                       WHEN 3 THEN 'java' WHEN 4 THEN 'js' WHEN 5 THEN 'c'
-                       WHEN 6 THEN 'md' ELSE 'txt' END AS path,
-                     lpad(CAST(doc_id AS VARCHAR), 40, '0') AS commit
-              FROM documents
-              UNION ALL
-              SELECT doc_id + 70000000, source,
-                     doc_id || '.' || CASE doc_id % 8
-                       WHEN 0 THEN 'py' WHEN 1 THEN 'rs' WHEN 2 THEN 'go'
-                       WHEN 3 THEN 'java' WHEN 4 THEN 'js' WHEN 5 THEN 'c'
-                       WHEN 6 THEN 'md' ELSE 'txt' END,
-                     lpad(CAST(doc_id + 70000000 AS VARCHAR), 40, '0')
-              FROM documents WHERE doc_id % 4 = 0 AND text IS NOT NULL AND length(text) > 0
-              UNION ALL
-              SELECT doc_id + 80000000, source,
-                     doc_id || '.' || CASE doc_id % 8
-                       WHEN 0 THEN 'py' WHEN 1 THEN 'rs' WHEN 2 THEN 'go'
-                       WHEN 3 THEN 'java' WHEN 4 THEN 'js' WHEN 5 THEN 'c'
-                       WHEN 6 THEN 'md' ELSE 'txt' END,
-                     lpad(CAST(doc_id + 80000000 AS VARCHAR), 40, '0')
-              FROM documents WHERE doc_id % 4 = 0 AND text IS NOT NULL AND length(text) > 0
-            )
-            SELECT doc_id, repo, path, commit,
-                   CAST(count(*) OVER (PARTITION BY repo, path) AS BIGINT) AS n_versions
-            FROM versioned
-            QUALIFY row_number() OVER (
-              PARTITION BY repo, path ORDER BY commit DESC, doc_id DESC) = 1
-        """,
         # Disjoint 16-token chunking plan (the line-dedup list-slicing
         # pattern: 1-indexed inclusive tk[i:i+15] = 16 tokens).
         "doc_chunks": r"""
@@ -3124,28 +2866,6 @@ def oracle_sql() -> dict[str, str]:
                    CAST(sum(vm) AS BIGINT) AS sum_value_micros
             FROM ev, unnest(generate_series(0, 3)) AS t(i)
             GROUP BY user_id, window_idx
-        """,
-        # per-group top-k: row_number over (tokens DESC, id) per language,
-        # k=5; same tokenizer as the token_counts oracle
-        # Integer-exact tf-idf top-k: within-doc order (tf DESC, df ASC,
-        # term) — the tf-idf order with idf's monotonicity made exact, no
-        # log on either side. Terms = nonempty space-split segments (the
-        # vocab convention); df = distinct docs containing the term.
-        "doc_top_terms": r"""
-            WITH tf AS (
-              SELECT doc_id, w AS term, CAST(count(*) AS BIGINT) AS tf
-              FROM (
-                SELECT doc_id, unnest(string_split(text, ' ')) AS w
-                FROM documents WHERE text IS NOT NULL AND length(text) > 0
-              ) WHERE w <> '' GROUP BY doc_id, w
-            ),
-            df AS (SELECT term, CAST(count(*) AS BIGINT) AS df FROM tf GROUP BY term)
-            SELECT doc_id, term, tf, df, CAST(rn AS BIGINT) AS rank
-            FROM (
-              SELECT tf.*, df.df, row_number() OVER (
-                  PARTITION BY doc_id ORDER BY tf DESC, df ASC, term ASC) AS rn
-              FROM tf JOIN df USING (term)
-            ) WHERE rn <= 5
         """,
         # Priority sampling: u64 // weight keys in UBIGINT floor
         # arithmetic (integer DLT priorities), ties → min id
@@ -3265,130 +2985,6 @@ def oracle_sql() -> dict[str, str]:
                         ELSE 'test' END AS split
             FROM documents WHERE text IS NOT NULL AND length(text) > 0
         """,
-        # Per-repo rollup over the dup-augmented corpus (dup decision is
-        # corpus-wide via the totals join, like dup_rate_by_lang)
-        "repo_stats": """
-            WITH dupdocs AS (
-                SELECT doc_id, source AS repo, lang, text FROM documents
-                UNION ALL
-                SELECT doc_id + 40000000, source AS repo, lang, text FROM documents
-                WHERE text IS NOT NULL AND length(text) > 0 AND doc_id % 40 = 0
-            ),
-            d AS (SELECT repo, lang, sha256(text) AS sha,
-                         CAST(length(text) AS BIGINT) AS nch
-                  FROM dupdocs WHERE text IS NOT NULL AND length(text) > 0),
-            t AS (SELECT sha, count(*) AS total FROM d GROUP BY sha)
-            SELECT repo,
-                   CAST(count(*) AS BIGINT) AS n_files,
-                   CAST(sum(nch) AS BIGINT) AS n_chars,
-                   CAST(count(DISTINCT lang) AS BIGINT) AS n_langs,
-                   CAST(count(CASE WHEN total > 1 THEN 1 END) AS BIGINT) AS n_dup_files
-            FROM d JOIN t USING (sha)
-            GROUP BY repo ORDER BY repo
-        """,
-        # KMV bottom-k sketch: deterministic given the hash, so the
-        # approximate-distinct machinery is value-checked exactly; hex
-        # prefix order ≡ u64 order (fixed-width lowercase hex)
-        "vocab_kmv_sketch": """
-            WITH ws AS (
-              SELECT DISTINCT substr(sha256(w), 1, 16) AS h
-              FROM (
-                SELECT unnest(string_split(text, ' ')) AS w FROM documents
-                WHERE text IS NOT NULL AND length(text) > 0
-              ) WHERE w <> ''
-            )
-            SELECT CAST(row_number() OVER (ORDER BY h) AS BIGINT) AS rank, h
-            FROM ws ORDER BY h LIMIT 16
-        """,
-        # (k−1)·2^64 // h_k in HUGEINT floor arithmetic (no floats); below
-        # k distinct hashes the sketch is the exact count
-        "distinct_word_estimate": """
-            WITH ws AS (
-              SELECT DISTINCT substr(sha256(w), 1, 16) AS h
-              FROM (
-                SELECT unnest(string_split(text, ' ')) AS w FROM documents
-                WHERE text IS NOT NULL AND length(text) > 0
-              ) WHERE w <> ''
-            ),
-            sk AS (SELECT h FROM ws ORDER BY h LIMIT 16),
-            agg AS (SELECT count(*) AS n, max(h) AS hk FROM sk)
-            SELECT CAST(n AS BIGINT) AS n_hashes,
-                   CASE WHEN n < 16 THEN CAST(n AS BIGINT)
-                        WHEN ('0x' || hk)::UBIGINT = 0 THEN CAST(n AS BIGINT)
-                        ELSE CAST((15::HUGEINT * 18446744073709551616::HUGEINT)
-                                  // ('0x' || hk)::UBIGINT::HUGEINT AS BIGINT)
-                   END AS estimate
-            FROM agg
-        """,
-        # Count-Min sketch matrix (deterministic row hashes via the shared
-        # splitmix64 scaffold; every cell count value-checked)
-        "wordcount_cm_sketch": _cm_sketch_sql(),
-        # CM consumption audit: one-sided error means n_est >= n_true on
-        # every probe — checked exactly, not statistically
-        "cm_word_estimates": _cm_estimates_sql(),
-        # Two-corpus KMV vocabulary Jaccard (documents vs the code fixture):
-        # bottom-k of each side, bottom-k of the union, common membership —
-        # all integers, deterministic given the hash
-        "vocab_jaccard_kmv": _CODE_DOCS_CTE
-        + """,
-            wa AS (
-              SELECT DISTINCT substr(sha256(w), 1, 16) AS h
-              FROM (
-                SELECT unnest(string_split(text, ' ')) AS w FROM documents
-                WHERE text IS NOT NULL AND length(text) > 0
-              ) WHERE w <> ''
-            ),
-            wb AS (
-              SELECT DISTINCT substr(sha256(w), 1, 16) AS h
-              FROM (
-                SELECT unnest(string_split(text, ' ')) AS w FROM code_docs
-              ) WHERE w <> ''
-            ),
-            ska AS (SELECT h FROM wa ORDER BY h LIMIT 16),
-            skb AS (SELECT h FROM wb ORDER BY h LIMIT 16),
-            u AS (SELECT h FROM (SELECT h FROM ska UNION SELECT h FROM skb)
-                  ORDER BY h LIMIT 16)
-            SELECT CAST((SELECT count(*) FROM u) AS BIGINT) AS k_union,
-                   CAST((SELECT count(*) FROM u
-                         WHERE h IN (SELECT h FROM ska)
-                           AND h IN (SELECT h FROM skb)) AS BIGINT) AS n_common
-        """,
-        # Per-doc duplicate-n-gram counts over the excerpt fixture; the
-        # toks/grams CTEs replicate the containment oracle's tokenizer and
-        # k=5 shingle semantics (sliding windows + whole-row fallback <k)
-        "gram_novelty": r"""
-            WITH exdocs AS (
-              SELECT doc_id, text FROM documents
-              WHERE text IS NOT NULL AND length(text) > 0
-              UNION ALL
-              SELECT doc_id + 20000000,
-                     array_to_string(
-                       tk[(len(tk) // 5 + 1):(len(tk) // 5 + 3 * len(tk) // 5)], ' ')
-              FROM (
-                SELECT doc_id, string_split(text, ' ') AS tk FROM documents
-                WHERE text IS NOT NULL AND length(text) > 0
-              )
-              WHERE doc_id % 3 = 0 AND len(tk) >= 20
-            ),
-            toks AS (SELECT doc_id, regexp_extract_all(text, '\w+|[^\w\s]') AS tk
-                     FROM exdocs WHERE length(text) > 0),
-            grams AS (
-              SELECT DISTINCT doc_id, array_to_string(tk[i:i+4], ' ') AS gram
-              FROM toks, unnest(generate_series(1, greatest(len(tk) - 4, 0))) AS t(i)
-              UNION
-              SELECT doc_id, array_to_string(tk, ' ') AS gram
-              FROM toks WHERE len(tk) BETWEEN 1 AND 4
-            ),
-            dupg AS (SELECT gram AS dg FROM grams GROUP BY gram HAVING count(*) > 1),
-            c AS (SELECT doc_id, CAST(count(*) AS BIGINT) AS n_grams,
-                         CAST(count(d.dg) AS BIGINT) AS n_dup_grams
-                  FROM grams g LEFT JOIN dupg d ON g.gram = d.dg
-                  GROUP BY doc_id)
-            SELECT t.doc_id, coalesce(c.n_grams, 0) AS n_grams,
-                   coalesce(c.n_dup_grams, 0) AS n_dup_grams
-            FROM toks t LEFT JOIN c USING (doc_id)
-            ORDER BY t.doc_id
-        """,
         # Per-lang exact-dup profile over the dup-augmented corpus; a
         # digest spanning languages duplicates in each (JOIN on total)
         "dup_rate_by_lang": """
@@ -3408,41 +3004,6 @@ def oracle_sql() -> dict[str, str]:
                    CAST(count(CASE WHEN total > 1 THEN 1 END) AS BIGINT) AS n_dup_groups
             FROM g JOIN t USING (sha)
             GROUP BY lang ORDER BY lang
-        """,
-        # Near-dup split leakage: norm-digest groups spanning two splits.
-        # fmtdocs/norm replicate the norm_exact_dup_members CTEs; the split
-        # CASE embeds split_assign's exact u64 threshold literals.
-        "split_leakage": """
-            WITH fmtdocs AS (
-                SELECT doc_id, text FROM documents
-                UNION ALL
-                SELECT doc_id + 50000000,
-                       '# fmt' || chr(10) || replace(upper(text), ' ', '   ')
-                         || '  ' || chr(10) || chr(9)
-                FROM documents
-                WHERE text IS NOT NULL AND length(text) > 0 AND doc_id % 7 = 3
-            ),
-            d AS (
-                SELECT trim(regexp_replace(
-                           lower(regexp_replace(text,
-                               '(//|#)[^' || chr(10) || ']*', '', 'g')),
-                           '[ ' || chr(9) || chr(13) || chr(10) || ']+',
-                           ' ', 'g'), ' ') AS n,
-                       CASE WHEN ('0x' || substr(sha256(text), 1, 16))::UBIGINT
-                                 < 16602069666338596864::UBIGINT THEN 'train'
-                            WHEN ('0x' || substr(sha256(text), 1, 16))::UBIGINT
-                                 < 17524406870024075264::UBIGINT THEN 'val'
-                            ELSE 'test' END AS split
-                FROM fmtdocs WHERE length(text) > 0
-            ),
-            gs AS (SELECT DISTINCT sha256(n) AS norm_sha, split
-                   FROM d WHERE length(n) > 0)
-            SELECT a.split AS split_a, b.split AS split_b,
-                   CAST(count(*) AS BIGINT) AS n_groups
-            FROM gs a JOIN gs b
-              ON a.norm_sha = b.norm_sha AND a.split < b.split
-            GROUP BY split_a, split_b
-            ORDER BY split_a, split_b
         """,
         # Tukey fences on exact discrete quartiles; doubled-integer
         # arithmetic (2n vs 2q1−3·iqr / 2q3+3·iqr) keeps both sides
@@ -3501,59 +3062,6 @@ def oracle_sql() -> dict[str, str]:
             c2 AS (SELECT lang, min(score) AS cut FROM cum
                    WHERE cc >= (2 * n + 2) // 3 GROUP BY lang)
             SELECT m.doc_id, m.lang, CAST(m.score AS BIGINT) AS score,
-                   CASE WHEN m.score <= c1.cut THEN 'tail'
-                        WHEN m.score <= c2.cut THEN 'middle'
-                        ELSE 'head' END AS bucket
-            FROM m JOIN c1 USING (lang) JOIN c2 USING (lang)
-        """,
-        # unigram-LM surprisal: the corpus's own unigram MLE as the model;
-        # score = log10(T) - avg(log10 c(w)) over token instances, same
-        # single-space tokenization as vocab_top_words, rounded to 6
-        "lm_doc_scores": r"""
-            WITH tok AS (
-              SELECT CAST(doc_id AS BIGINT) AS doc_id, lang,
-                     unnest(string_split(text, ' ')) AS w
-              FROM documents WHERE text IS NOT NULL AND length(text) > 0
-            ),
-            t2 AS (SELECT doc_id, lang, w FROM tok WHERE w <> ''),
-            cnt AS (SELECT w, CAST(count(*) AS DOUBLE) AS c FROM t2 GROUP BY w),
-            tot AS (SELECT CAST(count(*) AS DOUBLE) AS t FROM t2)
-            SELECT t2.doc_id, t2.lang,
-                   CAST(count(*) AS BIGINT) AS n_tokens,
-                   round(log10(tot.t) - avg(log10(cnt.c)), 6) AS lm_score
-            FROM t2 JOIN cnt USING (w) CROSS JOIN tot
-            GROUP BY t2.doc_id, t2.lang, tot.t
-        """,
-        # LM-backed CCNet bucketing: NEGATED half-up micro-unit surprisal
-        # (low surprisal = head) cut at exact per-language terciles —
-        # floor(x*1e6 + 0.5) matches numpy's floor(+0.5) exactly (round()
-        # would not: banker's vs half-away)
-        "lm_quality_buckets": r"""
-            WITH tok AS (
-              SELECT CAST(doc_id AS BIGINT) AS doc_id, lang,
-                     unnest(string_split(text, ' ')) AS w
-              FROM documents WHERE text IS NOT NULL AND length(text) > 0
-            ),
-            t2 AS (SELECT doc_id, lang, w FROM tok WHERE w <> ''),
-            cnt AS (SELECT w, CAST(count(*) AS DOUBLE) AS c FROM t2 GROUP BY w),
-            tot AS (SELECT CAST(count(*) AS DOUBLE) AS t FROM t2),
-            m AS (
-              SELECT t2.doc_id, t2.lang,
-                     CAST(-floor((log10(tot.t) - avg(log10(cnt.c)))
-                                 * 1000000 + 0.5) AS BIGINT) AS score
-              FROM t2 JOIN cnt USING (w) CROSS JOIN tot
-              GROUP BY t2.doc_id, t2.lang, tot.t
-            ),
-            h AS (SELECT lang, score, count(*) AS c FROM m GROUP BY 1, 2),
-            cum AS (SELECT lang, score,
-                           sum(c) OVER (PARTITION BY lang ORDER BY score) AS cc,
-                           sum(c) OVER (PARTITION BY lang) AS n
-                    FROM h),
-            c1 AS (SELECT lang, min(score) AS cut FROM cum
-                   WHERE cc >= (n + 2) // 3 GROUP BY lang),
-            c2 AS (SELECT lang, min(score) AS cut FROM cum
-                   WHERE cc >= (2 * n + 2) // 3 GROUP BY lang)
-            SELECT m.doc_id, m.lang, m.score,
                    CASE WHEN m.score <= c1.cut THEN 'tail'
                         WHEN m.score <= c2.cut THEN 'middle'
                         ELSE 'head' END AS bucket

@@ -422,53 +422,26 @@ def cmd_tiers(args) -> dict:
     return {"rows": out.count(), "tiers": counts}
 
 
-def cmd_audit(args) -> dict:
-    """Corpus dedup-health audit — the pre-training checklist in one job:
-    per-lang exact-dup rates, per-doc duplicate-n-gram profile, per-repo
-    shared-line mass, train/val/test near-dup leakage, and the KMV
-    distinct-vocabulary estimate; one parquet per section under --output."""
-    import pyarrow as pa
-    import ray.data
-
-    from europa_ray.pipelines.crossrepo import cross_repo_line_stats
-    from europa_ray.pipelines.exact import dup_rate_by_lang
-    from europa_ray.pipelines.leakage import split_leakage
-    from europa_ray.pipelines.novelty import gram_novelty
-    from europa_ray.pipelines.sketch import distinct_word_estimate
-    from europa_ray.sources.files import read_files
-
-    def write(name: str, out) -> int:
-        if isinstance(out, pa.Table):
-            out = ray.data.from_arrow(out)
-        out = out.materialize()
-        out.write_parquet(args.output + "/" + name)
-        return out.count()
-
-    files = read_files(args.input)
-    counts = {
-        "dup_rate_by_lang": write("dup_rate_by_lang", dup_rate_by_lang(files)),
-        "gram_novelty": write(
-            "gram_novelty", gram_novelty(_with_row_id(files), id_col="row_id")
-        ),
-        "cross_repo_lines": write(
-            "cross_repo_lines", cross_repo_line_stats(files)
-        ),
-        "split_leakage": write("split_leakage", split_leakage(files)),
-        "distinct_words": write(
-            "distinct_words", distinct_word_estimate(files, k=args.sketch_k)
-        ),
-    }
-    return {"sections": counts}
+COMMANDS = {
+    "neardup": cmd_neardup,
+    "exact": cmd_exact,
+    "textstats": cmd_textstats,
+    "sample": cmd_sample,
+    "decontam": cmd_decontam,
+    "forks": cmd_forks,
+    "crossdup": cmd_crossdup,
+    "semdedup": cmd_semdedup,
+    "report": cmd_report,
+    "tiers": cmd_tiers,
+    "clones": cmd_clones,
+    "containment": cmd_containment,
+}
 
 
-def main(argv=None) -> int:
+def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="europa_ray")
     sub = p.add_subparsers(dest="cmd", required=True)
-    for name in (
-        "neardup", "exact", "textstats", "sample", "decontam",
-        "forks", "crossdup", "semdedup", "report", "tiers", "clones",
-        "containment", "audit",
-    ):
+    for name in COMMANDS:
         sp = sub.add_parser(name)
         sp.add_argument("--input", required=True)
         sp.add_argument("--output", required=True)
@@ -518,9 +491,6 @@ def main(argv=None) -> int:
                             help="hive-partition the output by this column "
                                  "(e.g. lang): one directory per key value, "
                                  "resumable per key range")
-        if name == "audit":
-            sp.add_argument("--sketch-k", type=int, default=1024,
-                            help="KMV sketch size for the distinct-word estimate")
         if name == "tiers":
             sp.add_argument("--progress", action="store_true",
                             help="stream live near-tier row counts to stderr")
@@ -534,25 +504,15 @@ def main(argv=None) -> int:
                             help="Type-2 eligibility guard: group only docs "
                                  "with >= N tokens and a repeated token "
                                  "(0 disables)")
-    args = p.parse_args(argv)
+    return p
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
 
     owned = _init_ray()
     t0 = time.time()
-    result = {
-        "neardup": cmd_neardup,
-        "exact": cmd_exact,
-        "textstats": cmd_textstats,
-        "sample": cmd_sample,
-        "decontam": cmd_decontam,
-        "forks": cmd_forks,
-        "crossdup": cmd_crossdup,
-        "containment": cmd_containment,
-        "semdedup": cmd_semdedup,
-        "report": cmd_report,
-        "tiers": cmd_tiers,
-        "clones": cmd_clones,
-        "audit": cmd_audit,
-    }[args.cmd](args)
+    result = COMMANDS[args.cmd](args)
     result["seconds"] = round(time.time() - t0, 2)
     print(json.dumps(result))
     if owned:

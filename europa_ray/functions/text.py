@@ -53,7 +53,6 @@ for _r in (b"az", b"AZ", b"09"):
     _BYTE_CLASS[_r[0] : _r[1] + 1] = 1
 _BYTE_CLASS[ord("_")] = 1
 
-_BPOLY = _U64(0x100000001B3)
 # mask selecting the low min(len, 8) bytes of a little-endian u64 load
 _LEN_MASKS = np.array([(1 << (8 * i)) - 1 for i in range(8)] + [(1 << 64) - 1], dtype=_U64)
 

@@ -619,9 +619,8 @@ def quality_buckets(files, *, text_col: str = "content", lang_col: str = "lang",
 
 def bucket_scored_by_lang_terciles(scored) -> "ray.data.Dataset":
     """Per-language exact tercile labeling of a MATERIALIZED
-    ``(doc_id, lang, score:int64)`` Dataset — the shared back half of
-    :func:`quality_buckets` (alpha-ppm score) and the unigram-LM bucketing
-    in :mod:`europa_ray.pipelines.lm`. See :func:`quality_buckets` for the
+    ``(doc_id, lang, score:int64)`` Dataset — the back half of
+    :func:`quality_buckets` (alpha-ppm score). See :func:`quality_buckets` for the
     tie-safe cutoff arithmetic and the scale shape (the histogram shuffle
     carries distinct (lang, score) pairs, not rows)."""
 

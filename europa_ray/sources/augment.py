@@ -574,10 +574,10 @@ VERSION_EVERY = 4
 def _version_rows(batch: pa.Table, offset: int, suffix: str) -> pa.Table:
     """Extra VERSIONS of every ``VERSION_EVERY``-th nonempty doc: SAME
     (repo, path), new doc_id/commit (``doc_id + offset``), content with a
-    ``suffix`` appended — the fixture for the latest-version dedup
-    operator (the raw corpus has exactly one version per path). Mirrored
-    by the ``versioned`` UNION-ALL CTE in
-    ``oracle_sql()['latest_file_versions']``."""
+    ``suffix`` appended — near-identical versions of one file, the
+    fixture for the chunk-level dup report (the raw corpus has exactly one
+    version per path). Mirrored by the ``vd`` UNION-ALL CTE in
+    ``oracle_sql()['chunk_dup_stats']``."""
     import pyarrow.compute as pc
 
     c = batch["content"]
@@ -609,8 +609,7 @@ def _version_rows(batch: pa.Table, offset: int, suffix: str) -> pa.Table:
 
 def with_versions(files_ds: ray.data.Dataset) -> ray.data.Dataset:
     """files-shaped Dataset ∪ two newer versions (v2, v3) of every
-    ``VERSION_EVERY``-th nonempty doc under the same (repo, path) — the
-    newest (+``VERSION_OFFSET_V3``) must win the latest-version dedup.
+    ``VERSION_EVERY``-th nonempty doc under the same (repo, path).
 
     One fused pass (each batch emits original + v2 + v3 rows concatenated)
     rather than ``union`` of three maps: the union shape re-executes the

@@ -627,9 +627,9 @@ def embedding_near_dup_pairs(
         for mask in _probe_masks(n_bits, probe_bits):
             mixed = splitmix64(bk_u & mask).view(np.int64)
             paired = _pair_partitioned(mixed, nd, cfg, driver_max_cand_rows)
-            if paired is not None:
+            if not isinstance(paired, int):
                 n_cand += paired[0].shape[0]
-            if paired is None or n_cand > driver_max_cand_rows:
+            if isinstance(paired, int) or n_cand > driver_max_cand_rows:
                 return _emb_inline_pairs(
                     embeddings, planes, salts, threshold, n_tables, n_bits,
                     id_col, cfg, probe_bits=probe_bits,
@@ -640,7 +640,7 @@ def embedding_near_dup_pairs(
         cb = np.concatenate(cb_parts) if cb_parts else np.empty(0, np.int64)
     else:
         paired = _pair_partitioned(bk, nd, cfg, driver_max_cand_rows)
-        if paired is None:
+        if isinstance(paired, int):
             return _emb_inline_pairs(
                 embeddings, planes, salts, threshold, n_tables, n_bits, id_col, cfg
             )

@@ -17,6 +17,8 @@ capped at ``max_pairs_per_band`` (the ANN top-100 analog, K1).
 
 from __future__ import annotations
 
+import logging
+
 import numpy as np
 import pyarrow as pa
 
@@ -35,6 +37,8 @@ PAIRS_SCHEMA = pa.schema(
 )
 
 CAND_SCHEMA = pa.schema([pa.field("a", pa.int64()), pa.field("b", pa.int64())])
+
+_log = logging.getLogger(__name__)
 
 
 def effective_bands(cfg: EngineConfig) -> int:
@@ -254,7 +258,10 @@ def verify_pairs_by_signature(
     b = cand_df["b"].to_numpy()
     nodes_needed = np.unique(np.concatenate([a, b]))
     if nodes_needed.shape[0] > gather_max_nodes:
-        raise ValueError("candidate set too large for gather-verify; use inline path")
+        raise ValueError(
+            f"gather-verify needs {nodes_needed.shape[0]} candidate nodes"
+            f" > gather_max_nodes={gather_max_nodes}"
+        )
 
     nodes_all, sigs_all = _gather_candidate_sigs(sig_ds, nodes_needed, cfg)
     # one signature per node (exact-dup rows share identical signatures)
@@ -320,7 +327,7 @@ def _gather_candidate_sigs(sig_ds, nodes_needed: np.ndarray, cfg: EngineConfig):
 
 def _pair_hot_driver(
     bk: np.ndarray, nd: np.ndarray, cfg: EngineConfig, max_pairs: int
-) -> tuple[np.ndarray, np.ndarray] | None:
+) -> tuple[np.ndarray, np.ndarray] | int:
     """Vectorized in-memory per-bucket pairing of a (band_key, node) stream
     — the in-memory twin of ``_pair_nodes_group`` (same unique-nodes,
     all-pairs ≤ ``max_band_size``, distance-major window beyond, per-bucket
@@ -329,8 +336,8 @@ def _pair_hot_driver(
     ``_pair_partition_task`` workers (one hash partition each) so the sort
     cost scales with CPUs.
 
-    Returns None when the projected pair count exceeds ``max_pairs``
-    (caller falls back to the distributed path)."""
+    Returns the projected pair count (an int) instead when it exceeds
+    ``max_pairs`` (caller falls back to the distributed path)."""
     order = np.lexsort((nd, bk))
     bk, nd = bk[order], nd[order]
     keep = np.ones(bk.shape[0], dtype=bool)
@@ -349,7 +356,7 @@ def _pair_hot_driver(
         np.minimum(sizes[~small] * cfg.pair_window, band_cap).sum()
     )
     if proj > max_pairs:
-        return None
+        return proj
 
     out_a: list[np.ndarray] = []
     out_b: list[np.ndarray] = []
@@ -388,7 +395,7 @@ def _pair_partition_worker(
 
 def _pair_partitioned(
     bk: np.ndarray, nd: np.ndarray, cfg: EngineConfig, max_pairs: int
-) -> tuple[np.ndarray, np.ndarray] | None:
+) -> tuple[np.ndarray, np.ndarray] | int:
     """Per-bucket pairing, parallelized over hash partitions of band_key.
 
     The sort+pair work is data-proportional; running it as ONE driver
@@ -402,6 +409,9 @@ def _pair_partitioned(
     sort-shuffle that measured slower than even the driver pass, and a
     driver-side pre-partition (argsort + per-task slices) measured ~3 s of
     CPU-count-constant time at 15M exploded rows.
+
+    Over budget it returns the projected pair count (an int: the sum over
+    the partitions that overran, or the total pair count) instead of pairs.
     """
     import ray
 
@@ -423,12 +433,13 @@ def _pair_partitioned(
         for p in range(n_parts)
     ]
     results = ray.get(futs)
-    if any(r is None for r in results):
-        return None
+    over = [r for r in results if isinstance(r, int)]
+    if over:
+        return sum(over)
     a = np.concatenate([r[0] for r in results]) if results else np.empty(0, np.int64)
     b = np.concatenate([r[1] for r in results]) if results else np.empty(0, np.int64)
     if a.shape[0] > max_pairs:
-        return None
+        return int(a.shape[0])
     return a, b
 
 
@@ -459,7 +470,8 @@ def candidate_pairs(
     verification gather): the fully distributed inline-signature explode
     (``explode_bands`` → ``pair_band_group``), where pairing AND
     verification happen inside band groups with no driver state
-    (equivalence-tested by forcing the budgets to 0).
+    (equivalence-tested by forcing the budgets to 0). Every fallback logs
+    one warning naming the budget and the observed size.
 
     ``verify=False`` returns the deduplicated UNVERIFIED candidate set
     (schema ``(a, b)``) — the feed for content-level exact verification
@@ -482,6 +494,14 @@ def candidate_pairs(
     def _ret(pairs_ds, dup_nodes=None):
         return (pairs_ds, _aux(dup_nodes)) if return_aux else pairs_ds
 
+    def _inline(dup_nodes, why: str, *args):
+        _log.warning(
+            "candidate_pairs: " + why + "; falling back to the distributed inline band path",
+            *args,
+        )
+        pairs = _candidate_pairs_inline(sig_ds, kn, cfg, num_partitions, verify=verify)
+        return _ret(pairs, dup_nodes)
+
     bk_parts: list[np.ndarray] = []
     nd_parts: list[np.ndarray] = []
     total = 0
@@ -495,7 +515,10 @@ def candidate_pairs(
         nd_parts.append(b["node"].to_numpy())
     empty_schema = PAIRS_SCHEMA if verify else CAND_SCHEMA
     if over:
-        return _ret(_candidate_pairs_inline(sig_ds, kn, cfg, num_partitions, verify=verify))
+        return _inline(
+            None, "(band_key, node) stream reached %d rows > driver_max_kn_rows=%d",
+            total, driver_max_kn_rows,
+        )
     if not bk_parts:
         return _ret(ray.data.from_arrow(empty_schema.empty_table()), np.empty(0, np.int64))
     bk = np.concatenate(bk_parts)
@@ -522,8 +545,11 @@ def candidate_pairs(
         dup_nodes = uniq_nodes[node_counts > b_]
 
     paired = _pair_partitioned(bk, nd, cfg, driver_max_cand_rows)
-    if paired is None:
-        return _ret(_candidate_pairs_inline(sig_ds, kn, cfg, num_partitions, verify=verify), dup_nodes)
+    if isinstance(paired, int):
+        return _inline(
+            dup_nodes, "%d projected candidate pairs > driver_max_cand_rows=%d",
+            paired, driver_max_cand_rows,
+        )
     ca, cb = paired
     if ca.shape[0] == 0:
         return _ret(ray.data.from_arrow(empty_schema.empty_table()), dup_nodes)
@@ -537,8 +563,8 @@ def candidate_pairs(
     cand_df = pd.DataFrame({"a": ca[keep], "b": cb[keep]})
     try:
         verified = verify_pairs_by_signature(cand_df, sig_ds, cfg)
-    except ValueError:
-        return _ret(_candidate_pairs_inline(sig_ds, kn, cfg, num_partitions), dup_nodes)
+    except ValueError as exc:
+        return _inline(dup_nodes, "%s", exc)
     return _ret(ray.data.from_arrow(verified), dup_nodes)
 
 

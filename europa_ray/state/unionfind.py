@@ -19,6 +19,8 @@ Two implementations:
   ``groupby(key).map_groups`` rounds — one metadata-only (int64, int64)
   shuffle per round, O(log n) rounds even for path graphs. Used above the
   driver threshold; correctness cross-checked against networkx in tests.
+  It stops when a round changes no label (an exact test) and raises if
+  that has not happened within ``max_iters`` rounds.
 """
 
 from __future__ import annotations
@@ -26,7 +28,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from europa_ray.util import mix64
+_STATE_SCHEMA = pa.schema([pa.field("key", pa.int64()), pa.field("val", pa.int64())])
+_LABEL_SCHEMA = pa.schema([pa.field("key", pa.int64()), pa.field("min(val)", pa.int64())])
 
 
 def connected_components_driver(pairs_ds) -> dict[int, int]:
@@ -81,15 +84,17 @@ def _emit_h2m(batch: pa.Table) -> pa.Table:
     return pa.table({"key": pa.array(keys[keep]), "val": pa.array(vals[keep])})
 
 
-def _label_checksum(labels) -> int:
-    """Order-independent uint64 checksum of a (key, min(val)) Dataset."""
-    total = np.uint64(0)
-    for batch in labels.iter_batches(batch_format="pyarrow", batch_size=65536):
-        k = batch["key"].to_numpy().view(np.uint64)
-        v = batch["min(val)"].to_numpy().view(np.uint64)
-        with np.errstate(over="ignore"):
-            total += mix64(k * np.uint64(31) ^ v).sum(dtype=np.uint64)
-    return int(total)
+def _changed_labels(prev, labels) -> int:
+    """Rows (key, min(val)) present in exactly one of two rounds' label
+    Datasets: 0 iff the two label tables are identical."""
+    return (
+        prev.union(labels)
+        .groupby(["key", "min(val)"])
+        .count()
+        .rename_columns({"count()": "n"})
+        .filter(expr="n == 1")
+        .count()
+    )
 
 
 def connected_components_distributed(pairs_ds, *, max_iters: int = 50):
@@ -103,9 +108,16 @@ def connected_components_distributed(pairs_ds, *, max_iters: int = 50):
     accumulates its whole component's ids (the known hash-to-min
     tradeoff — components ≪ corpus for the near-dup workload), and
     cross-batch duplicate messages are squeezed by a distributed
-    distinct whenever the state grows past 2× its low-water mark.
+    distinct whenever the state grows past 2× its low-water mark. Every
+    shuffle output is scrubbed of the zero-column blocks Ray 2.49 emits for
+    empty partitions before it becomes a join side
+    (:func:`europa_ray.util.scrub_empty_blocks`).
+
+    Converged when a round leaves every key's min label unchanged (counted
+    exactly, :func:`_changed_labels`); raises ``RuntimeError`` if labels are
+    still changing after ``max_iters`` rounds.
     """
-    from europa_ray.util import default_num_partitions
+    from europa_ray.util import default_num_partitions, scrub_empty_blocks
 
     def seed(batch: pa.Table) -> pa.Table:
         a = batch["a"].to_numpy()
@@ -118,30 +130,39 @@ def connected_components_distributed(pairs_ds, *, max_iters: int = 50):
     state = pairs_ds.map_batches(seed, batch_format="pyarrow").materialize()
     low_water = max(state.count(), 1)
     prev = None
+    changed = None
     for _ in range(max_iters):
-        labels = state.groupby("key").min("val").materialize()
-        chk = _label_checksum(labels)
-        if chk == prev:
-            break
-        prev = chk
-        state = (
+        labels = scrub_empty_blocks(
+            state.groupby("key").min("val").materialize(), _LABEL_SCHEMA
+        )
+        if prev is not None:
+            changed = _changed_labels(prev, labels)
+            if changed == 0:
+                break
+        prev = labels
+        state = scrub_empty_blocks(
             state.join(labels, join_type="inner", num_partitions=nparts, on=("key",))
             .map_batches(_emit_h2m, batch_format="pyarrow")
-            .materialize()
+            .materialize(),
+            _STATE_SCHEMA,
         )
         n = state.count()
         if n > 2 * low_water:
-            state = (
+            state = scrub_empty_blocks(
                 state.groupby(["key", "val"])
                 .count()
                 .select_columns(["key", "val"])
-                .materialize()
+                .materialize(),
+                _STATE_SCHEMA,
             )
             n = state.count()
         low_water = min(low_water, max(n, 1))
-    labels = state.groupby("key").min("val").rename_columns(
-        {"key": "node", "min(val)": "cluster"}
-    )
+    else:
+        raise RuntimeError(
+            f"hash-to-min did not converge in max_iters={max_iters} rounds"
+            f" ({changed} label rows still changed in the last round)"
+        )
+    labels = labels.rename_columns({"key": "node", "min(val)": "cluster"})
 
     # min(val) for the component-min node is its smallest *other* member, not
     # itself — clamp to min(node, cluster)

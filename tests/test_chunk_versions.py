@@ -1,6 +1,5 @@
-"""Chunking plan (pipelines/chunking.py) and latest-version dedup
-(pipelines/versions.py): brute-force parity, boundary semantics, and
-cross-batch combiner merging."""
+"""Chunking plan and chunk-level dup report (pipelines/chunking.py):
+brute-force parity and boundary semantics."""
 
 from __future__ import annotations
 
@@ -11,7 +10,6 @@ import pyarrow as pa
 import pytest
 
 from europa_ray.pipelines.chunking import doc_chunks_batch
-from europa_ray.pipelines.versions import latest_file_versions
 
 
 def _mk_docs(n: int, seed: int = 11) -> pa.Table:
@@ -85,80 +83,6 @@ def test_doc_chunks_boundaries():
 def test_doc_chunks_rejects_bad_c():
     with pytest.raises(ValueError):
         doc_chunks_batch(_mk_docs(6), chunk_tokens=0)
-
-
-def _mk_versions(seed: int = 5) -> pa.Table:
-    rng = np.random.default_rng(seed)
-    rows = []
-    did = 0
-    for r in range(4):
-        for p in range(25):
-            n_v = int(rng.integers(1, 5))
-            for _ in range(n_v):
-                rows.append(
-                    (did, f"repo{r}", f"f{p}.py", f"{did:040d}")
-                )
-                did += 1
-    rng.shuffle(rows)
-    d, repo, path, commit = zip(*rows)
-    return pa.table(
-        {
-            "doc_id": pa.array(d, pa.int64()),
-            "repo": pa.array(repo, pa.string()),
-            "path": pa.array(path, pa.string()),
-            "commit": pa.array(commit, pa.string()),
-            "content": pa.array(["x"] * len(d), pa.string()),
-        }
-    )
-
-
-def _brute_latest(t: pa.Table) -> set[tuple]:
-    best: dict[tuple, tuple] = {}
-    cnt: dict[tuple, int] = {}
-    for d, r, p, c in zip(
-        t["doc_id"].to_pylist(),
-        t["repo"].to_pylist(),
-        t["path"].to_pylist(),
-        t["commit"].to_pylist(),
-    ):
-        k = (r, p)
-        cnt[k] = cnt.get(k, 0) + 1
-        if k not in best or (c, d) > (best[k][3], best[k][0]):
-            best[k] = (d, r, p, c)
-    return {(*v, cnt[k]) for k, v in best.items()}
-
-
-@pytest.mark.parametrize("n_blocks", [1, 7])
-def test_latest_versions_matches_bruteforce(ray_session, n_blocks):
-    """Cross-batch merging: with 7 blocks, versions of the same file land in
-    different partial-combiner batches and must merge in the groupby."""
-    import ray.data
-
-    t = _mk_versions()
-    ds = ray.data.from_arrow(t).repartition(n_blocks)
-    got = latest_file_versions(ds).to_pandas()
-    rows = set(
-        zip(
-            got["doc_id"], got["repo"], got["path"], got["commit"], got["n_versions"]
-        )
-    )
-    assert rows == _brute_latest(t)
-
-
-def test_latest_versions_rejects_negative_ids(ray_session):
-    import ray.data
-
-    t = _mk_versions().set_column(
-        0, "doc_id", pa.array([-1] * _mk_versions().num_rows, pa.int64())
-    )
-    ds = ray.data.from_arrow(t)
-    with pytest.raises(Exception):
-        latest_file_versions(ds).materialize()
-
-
-# ---------------------------------------------------------------------------
-# chunk_dup_stats
-# ---------------------------------------------------------------------------
 
 
 def _brute_chunk_dups(t: pa.Table, c: int) -> set[tuple]:

@@ -238,30 +238,6 @@ def test_cli_containment_subcommand(ray_session, tiny_corpus, tmp_path, capsys):
     assert res3["contaminated_rows"] > 0
 
 
-def test_cli_audit_subcommand(ray_session, tiny_corpus, tmp_path, capsys):
-    from europa_ray.cli import main
-
-    out = str(tmp_path / "audit")
-    assert main(["audit", "--input", tiny_corpus, "--output", out,
-                 "--sketch-k", "64"]) == 0
-    res = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-    secs = res["sections"]
-    # the planted corpus has dup groups and shared boilerplate lines
-    assert secs["dup_rate_by_lang"] > 0
-    assert secs["gram_novelty"] > 0
-    assert secs["cross_repo_lines"] > 0
-    assert secs["distinct_words"] == 1
-    for name, want_cols in {
-        "dup_rate_by_lang": {"lang", "n_docs", "n_dup_docs", "n_dup_groups"},
-        "gram_novelty": {"doc_id", "n_grams", "n_dup_grams"},
-        "cross_repo_lines": {"repo", "n_distinct_lines", "n_shared_lines"},
-        "distinct_words": {"n_hashes", "estimate"},
-    }.items():
-        files = glob.glob(out + f"/{name}/*.parquet")
-        assert files, name
-        assert want_cols <= set(pq.read_table(files).column_names), name
-
-
 def test_cli_textstats_partitioned_output(ray_session, tiny_corpus, tmp_path, capsys):
     import os
 

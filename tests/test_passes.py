@@ -167,19 +167,69 @@ def test_jaccard_candidate_chunk_budget_equivalent(ray_session, corpus_ds):
     pd.testing.assert_frame_equal(_sorted_pairs(default, cols), _sorted_pairs(chunked, cols))
 
 
-def test_candidate_pairs_row_guard_falls_back_inline(ray_session, corpus_ds):
-    """driver_max_cand_rows=0 forces the fully-distributed inline band path;
-    the verified pair set must match the default path's."""
-    import pandas as pd
-
+@pytest.fixture(scope="module")
+def sigs_and_default(corpus_ds):
+    """Signatures of the tiny corpus and the default-path verified pairs."""
     from europa_ray.stages.lsh import candidate_pairs
     from europa_ray.stages.signatures import signatures
 
     sigs = signatures(corpus_ds).materialize()
     default = candidate_pairs(sigs).to_pandas()
-    inline = candidate_pairs(sigs, driver_max_cand_rows=0).to_pandas()
+    assert len(default) > 0
+    return sigs, default
+
+
+def _assert_inline_fallback(caplog, sigs_and_default, budget, **kw):
+    """A forced budget overrun must give the default path's pair set and
+    log exactly one fallback warning naming that budget."""
+    import logging
+
+    import pandas as pd
+
+    from europa_ray.stages import lsh
+
+    sigs, default = sigs_and_default
+    with caplog.at_level(logging.WARNING, logger=lsh.__name__):
+        inline = lsh.candidate_pairs(sigs, **kw).to_pandas()
     cols = ["a", "b"]
     pd.testing.assert_frame_equal(_sorted_pairs(default, cols), _sorted_pairs(inline, cols))
+    msgs = [r.getMessage() for r in caplog.records if "falling back" in r.getMessage()]
+    assert len(msgs) == 1, msgs
+    assert budget in msgs[0], msgs
+
+
+def test_candidate_pairs_row_guard_falls_back_inline(ray_session, sigs_and_default, caplog):
+    """driver_max_cand_rows=0 forces the fully-distributed inline band path;
+    the verified pair set must match the default path's."""
+    _assert_inline_fallback(
+        caplog, sigs_and_default, "driver_max_cand_rows=0", driver_max_cand_rows=0
+    )
+
+
+def test_candidate_pairs_kn_guard_falls_back_inline(ray_session, sigs_and_default, caplog):
+    """driver_max_kn_rows=0 overruns the (band_key, node) gather before any
+    pairing: same pairs as the default path, and a warning."""
+    _assert_inline_fallback(
+        caplog, sigs_and_default, "driver_max_kn_rows=0", driver_max_kn_rows=0
+    )
+
+
+def test_candidate_pairs_gather_guard_falls_back_inline(
+    ray_session, sigs_and_default, caplog, monkeypatch
+):
+    """A gather-verify overflow (more candidate nodes than
+    ``gather_max_nodes``) falls back to the inline path: same pairs as the
+    default path, and a warning."""
+    import functools
+
+    from europa_ray.stages import lsh
+
+    monkeypatch.setattr(
+        lsh,
+        "verify_pairs_by_signature",
+        functools.partial(lsh.verify_pairs_by_signature, gather_max_nodes=0),
+    )
+    _assert_inline_fallback(caplog, sigs_and_default, "gather_max_nodes=0")
 
 
 def test_pair_nodes_group_capped():

@@ -194,57 +194,3 @@ def test_containment_probe_lemma(tokens, data):
     assert A <= B
     probe_a = set(g[(nd == na) & (pb == 1)].tolist())
     assert probe_a & B  # the lemma: some probe gram of A is in B
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    st.lists(
-        st.tuples(
-            st.integers(min_value=0, max_value=3),  # repo
-            st.integers(min_value=0, max_value=5),  # path
-            st.integers(min_value=0, max_value=10_000),  # id
-        ),
-        min_size=1,
-        max_size=60,
-    )
-)
-def test_latest_versions_combiner_associative(rows):
-    """The per-batch argmax combiner is associative: partials of any split
-    merged by (repo, path) max-key equal the single-batch partial."""
-    from europa_ray.pipelines.versions import _partial_latest
-
-    def tbl(rs):
-        return pa.table(
-            {
-                "doc_id": pa.array([r[2] for r in rs], pa.int64()),
-                "repo": pa.array([f"r{r[0]}" for r in rs], pa.string()),
-                "path": pa.array([f"p{r[1]}" for r in rs], pa.string()),
-                "commit": pa.array([f"{r[2]:040d}" for r in rs], pa.string()),
-            }
-        )
-
-    def to_map(t):
-        out: dict[tuple, tuple] = {}
-        for r, p, k, n in zip(
-            t["repo"].to_pylist(), t["path"].to_pylist(),
-            t["key"].to_pylist(), t["n"].to_pylist(),
-        ):
-            kk = (r, p)
-            if kk in out:
-                out[kk] = (max(out[kk][0], k), out[kk][1] + n)
-            else:
-                out[kk] = (k, n)
-        return out
-
-    whole = to_map(_partial_latest(tbl(rows), id_col="doc_id"))
-    cut = len(rows) // 2
-    merged: dict[tuple, tuple] = {}
-    for part in (rows[:cut], rows[cut:]):
-        if not part:
-            continue
-        for kk, (k, n) in to_map(_partial_latest(tbl(part), id_col="doc_id")).items():
-            if kk in merged:
-                merged[kk] = (max(merged[kk][0], k), merged[kk][1] + n)
-            else:
-                merged[kk] = (k, n)
-    assert whole == merged

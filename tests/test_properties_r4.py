@@ -1,6 +1,5 @@
 """Property-based tests (hypothesis) for the final-round-4 pure kernels:
-split-leakage mask expansion, cross-repo driver rollup, per-lang dup-rate
-rollup, and Count-Min partial additivity. All Ray-free."""
+cross-repo driver rollup and per-lang dup-rate rollup. All Ray-free."""
 
 from __future__ import annotations
 
@@ -8,51 +7,8 @@ import hashlib
 from collections import defaultdict
 
 import numpy as np
-import pyarrow as pa
 from hypothesis import given, settings
 from hypothesis import strategies as st
-
-NAMES = ["train", "val", "test", "holdout"]
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    st.lists(
-        st.tuples(st.integers(0, 15), st.integers(1, 50)),
-        min_size=0,
-        max_size=20,
-    )
-)
-def test_pairs_from_masks_matches_brute_force(items):
-    from europa_ray.pipelines.leakage import _pairs_from_masks
-
-    # collapse duplicate masks (np.unique upstream guarantees distinct)
-    agg: dict[int, int] = defaultdict(int)
-    for m, c in items:
-        agg[m] += c
-    masks = np.array(sorted(agg), np.int64)
-    counts = np.array([agg[m] for m in sorted(agg)], np.int64)
-
-    want: dict[tuple[str, str], int] = defaultdict(int)
-    for m, c in agg.items():
-        on = sorted(NAMES[i] for i in range(len(NAMES)) if m >> i & 1)
-        for i in range(len(on)):
-            for j in range(i + 1, len(on)):
-                want[(on[i], on[j])] += c
-    got = _pairs_from_masks(masks, counts, NAMES)
-    got_d = {
-        (a, b): n
-        for a, b, n in zip(
-            got["split_a"].to_pylist(),
-            got["split_b"].to_pylist(),
-            got["n_groups"].to_pylist(),
-        )
-    }
-    assert got_d == dict(want)
-    # output is (split_a, split_b)-sorted
-    keys = list(zip(got["split_a"].to_pylist(), got["split_b"].to_pylist()))
-    assert keys == sorted(keys)
-
 
 pair_lists = st.lists(
     st.tuples(st.sampled_from(["r1", "r2", "r3"]), st.integers(0, 6)),
@@ -126,33 +82,3 @@ def test_dup_rate_table_matches_brute_force(rows):
         assert got["n_docs"][i].as_py() == n_docs
         assert got["n_dup_docs"][i].as_py() == n_dup
         assert got["n_dup_groups"][i].as_py() == n_groups
-
-
-words = st.lists(
-    st.text(alphabet="abcdef", min_size=1, max_size=3), min_size=0, max_size=30
-)
-
-
-@settings(max_examples=60, deadline=None)
-@given(words, words)
-def test_cm_partial_is_additive(wa, wb):
-    """CM(A ∪ B) == CM(A) + CM(B) elementwise — the mergeability the
-    driver fold relies on."""
-    from europa_ray.pipelines.sketch import CM_SEEDS, _cm_partial
-
-    width = 16
-
-    def tbl(ws):
-        return pa.table({"content": pa.array([" ".join(ws)] if ws else [], pa.string())})
-
-    def mat(ws):
-        m = np.zeros((len(CM_SEEDS), width), np.int64)
-        out = _cm_partial(tbl(ws), width=width, seeds=CM_SEEDS, text_col="content")
-        np.add.at(
-            m,
-            (np.asarray(out["cm_row"]), np.asarray(out["bucket"])),
-            np.asarray(out["c"]),
-        )
-        return m
-
-    assert (mat(wa + wb) == mat(wa) + mat(wb)).all()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import collections
+
 import networkx as nx
 import numpy as np
 import pyarrow as pa
@@ -118,3 +120,73 @@ def test_distributed_cc_path_graph_multi_round(ray_session):
     for b in labels.iter_batches(batch_format="pyarrow", batch_size=65536):
         got.update(zip(b["node"].to_numpy().tolist(), b["cluster"].to_numpy().tolist()))
     assert got == _oracle(edges)
+
+
+def _mixed_graph(seed: int) -> list[tuple[int, int]]:
+    """A long path, one giant component, many isolated edges (the smallest
+    component an edge list can hold) and sparse random edges, over shuffled
+    int64 ids (negative ones included) in shuffled edge order."""
+    rng = np.random.default_rng(seed)
+    ids = rng.choice(np.arange(-(1 << 62), 1 << 62, 1 << 50), size=4000, replace=False)
+    path = [(int(ids[i]), int(ids[i + 1])) for i in range(int(rng.integers(150, 300)))]
+    base = 400
+    giant_n = 800
+    parent = rng.integers(0, np.arange(1, giant_n), size=giant_n - 1)
+    giant = [(int(ids[base + i + 1]), int(ids[base + p])) for i, p in enumerate(parent)]
+    extra = rng.integers(0, giant_n, size=(400, 2))
+    giant += [(int(ids[base + x]), int(ids[base + y])) for x, y in extra if x != y]
+    base += giant_n
+    pairs = [(int(ids[base + 2 * i]), int(ids[base + 2 * i + 1])) for i in range(600)]
+    base += 1200
+    sparse = rng.integers(base, ids.shape[0], size=(300, 2))
+    randoms = [(int(ids[x]), int(ids[y])) for x, y in sparse if x != y]
+    edges = path + giant + pairs + randoms
+    flip = rng.random(len(edges)) < 0.5
+    edges = [(b, a) if f else (a, b) for (a, b), f in zip(edges, flip)]
+    return [edges[i] for i in rng.permutation(len(edges))]
+
+
+@pytest.mark.parametrize("seed", [11, 12, 13])
+def test_cc_driver_distributed_networkx_agree(ray_session, seed):
+    """Random mixed graphs: driver union-find == distributed hash-to-min ==
+    networkx connected components (label = min node)."""
+    import ray.data
+
+    from europa_ray.state.unionfind import (
+        connected_components_distributed,
+        connected_components_driver,
+    )
+
+    edges = _mixed_graph(seed)
+    tbl = pa.table(
+        {
+            "a": pa.array([e[0] for e in edges], pa.int64()),
+            "b": pa.array([e[1] for e in edges], pa.int64()),
+        }
+    )
+    want = _oracle(edges)
+    assert max(collections.Counter(want.values()).values()) >= 800  # giant
+    driver = connected_components_driver(ray.data.from_arrow(tbl))
+    labels = connected_components_distributed(ray.data.from_arrow(tbl)).to_pandas()
+    distributed = dict(zip(labels.node.tolist(), labels.cluster.tolist()))
+    assert len(labels) == len(distributed)  # one label row per node
+    assert driver == want
+    assert distributed == want
+
+
+def test_distributed_cc_raises_when_not_converged(ray_session):
+    """A path needs several hash-to-min rounds: a round budget too small to
+    reach the fixpoint is an error, not silently unconverged labels."""
+    import ray.data
+
+    from europa_ray.state.unionfind import connected_components_distributed
+
+    path = [(i, i + 1) for i in range(200)]
+    tbl = pa.table(
+        {
+            "a": pa.array([e[0] for e in path], pa.int64()),
+            "b": pa.array([e[1] for e in path], pa.int64()),
+        }
+    )
+    with pytest.raises(RuntimeError, match="did not converge"):
+        connected_components_distributed(ray.data.from_arrow(tbl), max_iters=2)
