@@ -88,11 +88,6 @@ class EngineConfig:
 
     # --- execution ---
     batch_size: int = 2048                # rows per signature batch
-    # Signature actor-pool bounds when use_actor_pool=True (the default
-    # signature stage is task-based with per-worker cached state; see
-    # stages/signatures.py). Never size a pool to ALL cluster CPUs — upstream
-    # read tasks starve and the pipeline deadlocks.
-    sig_concurrency: int | tuple[int, int] = (1, 16)
     two_pass: bool = False                # 10%-prefix pre-pass (A2) — IO saver in
     #   the reference; correctness-neutral here (tested)
     cc_driver_max_edges: int = 5_000_000  # driver union-find below this, else

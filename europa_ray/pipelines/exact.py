@@ -7,8 +7,13 @@ groups with >1 member, order members within group, emit clusters.
 Engine shape::
 
     read_parquet → filters → map_batches(sha256, drop content)
-        → groupby(sha256).count → keep n>1 → hash-join members
-        → sort(cluster_id, commit, repo, path) → clusters
+        → count digests (driver u256 sort, or groupby(sha256).count above
+          DRIVER_MAX_KEYS) → keep n>1 → attach n_members to members
+        → sort(cluster_id, *id_cols) → clusters
+
+The final sort is size-dispatched (``util.sort_result``): a small result is
+sorted on the driver into one block, a large one by ``Dataset.sort``; both
+give the same row order.
 
 Only *metadata + digest* rows ever enter the shuffle — content is projected
 away in the hash stage, so the groupby moves ~100 bytes/row regardless of
@@ -26,7 +31,16 @@ import ray.data
 from europa_ray.config import DEFAULT_CONFIG, EngineConfig
 from europa_ray.stages.filters import apply_filters
 from europa_ray.stages.hash_stage import add_prefix_key, add_sha256
-from europa_ray.util import default_num_partitions
+from europa_ray.util import (
+    dataset_block_refs,
+    default_num_partitions,
+    hex_to_u256_arrow,
+    sort_result,
+)
+
+# Digest rows gathered to the driver for counting; above it the counts run
+# as a distributed groupby.
+DRIVER_MAX_KEYS = 100_000_000
 
 
 def _empty_like(
@@ -62,7 +76,7 @@ def _hashed_fallback_schema(
     return pa.schema(fields)
 
 
-def _dup_sha_counts(hashed: ray.data.Dataset, num_partitions: int) -> ray.data.Dataset:
+def _dup_sha_counts(hashed: ray.data.Dataset) -> ray.data.Dataset:
     """(sha256, n_members) for digests appearing more than once (A1/A7:
     singleton suppression, ``DuplicateByHashFinder.cs:52,73``).
 
@@ -92,10 +106,7 @@ def exact_dup_clusters(
     """
     if num_partitions is None:
         num_partitions = default_num_partitions()
-    import numpy as np
     import ray
-
-    from europa_ray.util import hex_to_u256_arrow
 
     ds = apply_filters(files, cfg)
     hashed = ds.map_batches(
@@ -109,25 +120,28 @@ def exact_dup_clusters(
     hashed = hashed.materialize()
 
     # --- duplicate detection, size-dispatched like duplicated_keys ---
-    # Driver path (≤ driver_max_keys digests): stream the FULL 256-bit
+    # Driver path (≤ DRIVER_MAX_KEYS digests): gather the FULL 256-bit
     # digest as a structured 4×uint64 key (32 B/row; vectorized nibble
     # decode, no Python strings), one np.sort for counts — replaces a
     # string-keyed hash-shuffle groupby whose fixed aggregator startup
     # dominates small/medium corpora. Full-digest keys make this path
     # digest-exact like the distributed fallback: a 64-bit prefix collision
     # between distinct contents can never fabricate a false cluster.
-    driver_max_keys = 100_000_000
+    # The gather reads the materialized blocks one at a time by ref: an
+    # iter_batches over them would start a full executor run (one
+    # projection task per block, ~1 s for 64 blocks at 1 CPU).
     node_parts: list[np.ndarray] = []
     total = 0
     over = False
-    for b in hashed.select_columns(["sha256"]).iter_batches(
-        batch_format="pyarrow", batch_size=1 << 20
-    ):
-        total += b.num_rows
-        if total > driver_max_keys:
+    for ref in dataset_block_refs(hashed):
+        block = ray.get(ref)
+        total += block.num_rows
+        if total > DRIVER_MAX_KEYS:
             over = True
             break
-        node_parts.append(hex_to_u256_arrow(b["sha256"]))
+        if block.num_rows:  # zero-row join blocks may carry no columns
+            node_parts.append(hex_to_u256_arrow(block["sha256"]))
+        del block
 
     if not over:
         if not node_parts:
@@ -162,10 +176,10 @@ def exact_dup_clusters(
             return out.filter(pa.array(hit))
 
         members = hashed.map_batches(attach, batch_format="pyarrow")
-        return members.sort(["cluster_id", *id_cols])
+        return sort_result(members, ["cluster_id", *id_cols])
 
     # --- distributed fallback: string-keyed count-aggregate + join ---
-    dups = _dup_sha_counts(hashed, num_partitions)
+    dups = _dup_sha_counts(hashed)
     n_dups = dups.count()
     if n_dups == 0:
         # Zero duplicate groups: short-circuit (a zero-row join side crashes
@@ -181,7 +195,7 @@ def exact_dup_clusters(
     ).map_batches(
         lambda b: b.append_column("cluster_id", b["sha256"]), batch_format="pyarrow"
     )
-    return members.sort(["cluster_id", *id_cols])
+    return sort_result(members, ["cluster_id", *id_cols])
 
 
 def _two_pass_filter(files, hashed, cfg: EngineConfig, id_cols):
@@ -253,8 +267,6 @@ def dedup_report(
     metadata-only shuffles (``groupby(group, sha256)`` distinct then the
     group roll-up) — content never moves on either path.
     """
-    from europa_ray.util import hex_to_u256_arrow
-
     ds = apply_filters(files, cfg)
     hashed = ds.map_batches(
         add_sha256, fn_kwargs={"keep_cols": (group_col,)}, batch_format="pyarrow"
@@ -384,8 +396,6 @@ def cross_corpus_new_docs(
         # memory for the same information. The plasma copy is shared
         # per-node (zero-copy ray.get), so worst case at the default cap is
         # 20M × 32 B = 640 MB per node, not per worker.
-        from europa_ray.util import hex_to_u256_arrow
-
         parts = [
             hex_to_u256_arrow(b["sha256"])
             for b in ref_digests.iter_batches(batch_format="pyarrow", batch_size=1 << 20)

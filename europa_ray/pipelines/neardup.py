@@ -35,6 +35,7 @@ from europa_ray.stages.filters import apply_filters
 from europa_ray.stages.lsh import PAIRS_SCHEMA, candidate_pairs
 from europa_ray.stages.signatures import signatures
 from europa_ray.state.unionfind import components
+from europa_ray.util import sort_result
 
 
 
@@ -397,8 +398,7 @@ def assemble_members(
         return sel
 
     members = sigs.map_batches(tag, batch_format="pyarrow")
-    sort_cols = ["cluster_id", *[c for c in id_cols]]
-    return members.sort(sort_cols)
+    return sort_result(members, ["cluster_id", *id_cols])
 
 
 def _assemble_members_join(
@@ -490,7 +490,7 @@ def _assemble_members_join(
         return sel
 
     members = joined.map_batches(tag, batch_format="pyarrow")
-    return members.sort(["cluster_id", *id_cols])
+    return sort_result(members, ["cluster_id", *id_cols])
 
 
 def near_dup_representatives(

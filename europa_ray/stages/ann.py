@@ -12,10 +12,14 @@ the content near-dup passes.
 
 from __future__ import annotations
 
+import logging
+
 import numpy as np
 import pyarrow as pa
 import ray
 import ray.data
+
+_log = logging.getLogger(__name__)
 
 
 def _embedding_matrix(batch: pa.Table, col: str = "embedding") -> np.ndarray:
@@ -537,7 +541,8 @@ def embedding_near_dup_pairs(
     every surviving candidate is verified at EXACT cosine via the guarded
     driver-gather / cogroup-shuffle dispatch in :mod:`~europa_ray.stages.
     pairverify`. Any blown budget falls back to the fully distributed inline
-    path (embeddings carried through the explode, capped in-bucket verify).
+    path (embeddings carried through the explode, capped in-bucket verify)
+    and logs one warning naming the budget and the observed size.
 
     Recall: a pair at exactly ``threshold`` collides in one table w.p.
     ``(1 − acos(t)/π)^n_bits`` (Charikar hyperplane LSH); with the defaults
@@ -597,6 +602,17 @@ def embedding_near_dup_pairs(
 
     kn = embeddings.map_batches(explode_keys, batch_format="pyarrow")
 
+    def _inline(why: str, *args):
+        _log.warning(
+            "embedding_near_dup_pairs: " + why
+            + "; falling back to the distributed inline bucket path",
+            *args,
+        )
+        return _emb_inline_pairs(
+            embeddings, planes, salts, threshold, n_tables, n_bits, id_col, cfg,
+            probe_bits=probe_bits,
+        )
+
     bk_parts: list[np.ndarray] = []
     nd_parts: list[np.ndarray] = []
     total = 0
@@ -609,9 +625,9 @@ def embedding_near_dup_pairs(
         bk_parts.append(b["band_key"].to_numpy())
         nd_parts.append(b["node"].to_numpy())
     if over:
-        return _emb_inline_pairs(
-            embeddings, planes, salts, threshold, n_tables, n_bits, id_col, cfg,
-            probe_bits=probe_bits,
+        return _inline(
+            "(bucket_key, id) stream reached %d rows > driver_max_kn_rows=%d",
+            total, driver_max_kn_rows,
         )
     if not bk_parts:
         return ray.data.from_arrow(EMB_PAIRS_SCHEMA.empty_table())
@@ -627,12 +643,11 @@ def embedding_near_dup_pairs(
         for mask in _probe_masks(n_bits, probe_bits):
             mixed = splitmix64(bk_u & mask).view(np.int64)
             paired = _pair_partitioned(mixed, nd, cfg, driver_max_cand_rows)
-            if not isinstance(paired, int):
-                n_cand += paired[0].shape[0]
+            n_cand += paired if isinstance(paired, int) else paired[0].shape[0]
             if isinstance(paired, int) or n_cand > driver_max_cand_rows:
-                return _emb_inline_pairs(
-                    embeddings, planes, salts, threshold, n_tables, n_bits,
-                    id_col, cfg, probe_bits=probe_bits,
+                return _inline(
+                    "%d candidate pairs over the probe passes > driver_max_cand_rows=%d",
+                    n_cand, driver_max_cand_rows,
                 )
             ca_parts.append(paired[0])
             cb_parts.append(paired[1])
@@ -641,8 +656,9 @@ def embedding_near_dup_pairs(
     else:
         paired = _pair_partitioned(bk, nd, cfg, driver_max_cand_rows)
         if isinstance(paired, int):
-            return _emb_inline_pairs(
-                embeddings, planes, salts, threshold, n_tables, n_bits, id_col, cfg
+            return _inline(
+                "%d projected candidate pairs > driver_max_cand_rows=%d",
+                paired, driver_max_cand_rows,
             )
         ca, cb = paired
     if ca.shape[0] == 0:

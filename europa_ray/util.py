@@ -329,6 +329,53 @@ def dataset_block_refs(ds) -> list:
         return ds.get_internal_block_refs()
 
 
+# Results whose blocks total at most this many bytes are sorted on the driver
+# by :func:`sort_result`. A distributed ``Dataset.sort`` pays a sample, a
+# map and a merge task per block whatever the row count: 6.7-7.3 s for the
+# 1,204 exact-dup member rows of a 64-block job at 1 CPU, against ~0.01 s
+# for ``sort_indices`` on the driver.
+DRIVER_SORT_MAX_BYTES = 64 << 20
+
+
+def sort_result(ds, key: list[str]):
+    """``ds`` sorted by the ascending columns ``key``, dispatched by size.
+
+    The result is materialized and its size read from the block metadata
+    (no extra pass). At most :data:`DRIVER_SORT_MAX_BYTES`: the blocks are
+    fetched, concatenated in block order and ordered by
+    ``pyarrow.compute.sort_indices`` with the keys ``Dataset.sort`` uses
+    (ascending, nulls last, stable), returned as ONE block — the same table,
+    ties included, as the distributed sort (which concatenates its
+    partitions in block order before the same stable sort). Above the budget,
+    or when a block's size is unknown: ``Dataset.sort``. Zero-row blocks
+    (Ray 2.49 shuffles emit them without columns) are dropped; an all-empty
+    input keeps its schema."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+    import ray
+    import ray.data
+
+    ds = ds.materialize()
+    refs: list = []
+    size = 0
+    for bundle in ds.iter_internal_ref_bundles():
+        for block_ref, meta in zip(bundle.block_refs, bundle.metadata):
+            if meta.size_bytes is None or meta.num_rows is None:
+                return ds.sort(key)
+            size += meta.size_bytes
+            if meta.num_rows:
+                refs.append(block_ref)
+    if size > DRIVER_SORT_MAX_BYTES:
+        return ds.sort(key)
+    if not refs:
+        got = ds.schema()
+        schema = got.base_schema if got is not None else pa.schema([])
+        return ray.data.from_arrow(schema.empty_table())
+    table = pa.concat_tables(ray.get(refs), promote_options="permissive")
+    order = pc.sort_indices(table, sort_keys=[(k, "ascending") for k in key])
+    return ray.data.from_arrow(table.take(order))
+
+
 def _attach_row_index(block, offset: int, index_col: str):
     import numpy as _np
     import pyarrow as _pa

@@ -16,6 +16,15 @@ SF_SMALL = "/root/testdata/sf0.01"
 SF_TINY = "/root/testdata/sf0.001"
 
 
+def collect(ds):
+    """All non-empty blocks of a Dataset in block order, as one Arrow table
+    (row order kept, unlike ``to_pandas`` comparisons on sorted keys)."""
+    import pyarrow as pa
+    import ray
+
+    return pa.concat_tables([t for t in ray.get(ds.to_arrow_refs()) if t.num_rows])
+
+
 @pytest.fixture(scope="session")
 def ray_session():
     import ray

@@ -197,6 +197,36 @@ def test_probe_mode_inline_path_equivalent(planted_borderline):
     assert dset == iset
 
 
+@pytest.mark.parametrize(
+    "kw, budget",
+    [
+        (dict(driver_max_kn_rows=0), "driver_max_kn_rows=0"),
+        (dict(driver_max_cand_rows=0), "driver_max_cand_rows=0"),
+        (dict(driver_max_cand_rows=0, probe_bits=1, n_bits=8, n_tables=5),
+         "driver_max_cand_rows=0"),
+    ],
+    ids=["kn", "cand", "probe_cand"],
+)
+def test_inline_fallback_warns(planted, caplog, kw, budget):
+    """Each budget overrun (the (bucket_key, id) gather, the pairing and the
+    multi-probe pass loop) falls back to the inline path with one warning
+    naming the budget; the pair set matches the driver path's."""
+    import logging
+
+    from europa_ray.stages import ann
+
+    _, _, ds = planted
+    shape = {k: v for k, v in kw.items() if not k.startswith("driver_")}
+    default = ann.embedding_near_dup_pairs(ds, threshold=0.9, **shape).to_pandas()
+    with caplog.at_level(logging.WARNING, logger=ann.__name__):
+        inline = ann.embedding_near_dup_pairs(ds, threshold=0.9, **kw).to_pandas()
+    assert len(default) > 0
+    assert set(zip(default.a, default.b)) == set(zip(inline.a, inline.b))
+    msgs = [r.getMessage() for r in caplog.records if "falling back" in r.getMessage()]
+    assert len(msgs) == 1, msgs
+    assert budget in msgs[0], msgs
+
+
 def test_probe_bits_validated(planted):
     from europa_ray.stages.ann import embedding_near_dup_pairs
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import duckdb
 import pytest
 
-from tests.conftest import SF_SMALL
+from tests.conftest import SF_SMALL, collect
 
 
 @pytest.fixture(scope="module")
@@ -25,16 +25,55 @@ def test_exact_clusters_match_duckdb(ray_session, files_ds, tiny_corpus):
         FROM parquet_scan('{tiny_corpus}/*.parquet')
         WHERE length(content) > 0
         QUALIFY count(*) OVER (PARTITION BY sha256(content)) > 1
-        ORDER BY sha256, commit, repo, path
+        ORDER BY sha256, repo, path, commit
         """
     ).df()
-    assert len(got) == len(oracle)
-    key = lambda df: sorted(zip(df.repo, df.path, df.commit, df.sha256))
-    assert key(got) == key(oracle)
+    # deterministic order: sorted by cluster_id then identity, row for row
+    key = lambda df, cid: list(zip(df[cid], df.repo, df.path, df.commit))
+    assert key(got, "cluster_id") == key(oracle, "sha256")
     # members of a cluster all share cluster_id == sha256
     assert (got.cluster_id == got.sha256).all()
-    # deterministic order: sorted by cluster_id then identity
-    assert got.cluster_id.is_monotonic_increasing
+
+
+def test_exact_distributed_fallback_matches_driver(ray_session, files_ds, monkeypatch):
+    """DRIVER_MAX_KEYS=0 routes the digest counts through the distributed
+    groupby + join: same table as the driver path, row order included."""
+    from europa_ray.pipelines import exact
+
+    driver = collect(exact.exact_dup_clusters(files_ds))
+    monkeypatch.setattr(exact, "DRIVER_MAX_KEYS", 0)
+    distributed = collect(exact.exact_dup_clusters(files_ds))
+    assert driver.num_rows > 0
+    assert driver.schema == distributed.schema
+    assert driver.equals(distributed)
+
+
+def test_exact_distributed_fallback_no_duplicates(ray_session, monkeypatch):
+    """A corpus with no duplicate content: both paths return zero rows with
+    the same schema."""
+    import pyarrow as pa
+    import ray.data
+
+    from europa_ray.pipelines import exact
+
+    files = ray.data.from_arrow(
+        pa.table(
+            {
+                "repo": pa.array(["r1", "r1", "r2"]),
+                "path": pa.array(["a.py", "b.py", "c.py"]),
+                "commit": pa.array(["c1", "c1", "c2"]),
+                "content": pa.array(["one", "two", "three"]),
+            }
+        )
+    ).repartition(2)
+    driver = exact.exact_dup_clusters(files)
+    monkeypatch.setattr(exact, "DRIVER_MAX_KEYS", 0)
+    distributed = exact.exact_dup_clusters(files)
+    assert driver.count() == distributed.count() == 0
+    assert driver.schema().base_schema == distributed.schema().base_schema
+    assert {"cluster_id", "n_members", "repo", "path", "commit"} <= set(
+        driver.schema().names
+    )
 
 
 def test_exact_excludes_empty_content(ray_session, files_ds):

@@ -237,24 +237,47 @@ def test_exact_verify_lsh_candidates_subset(ray_session, tiny_corpus, truth_pair
     assert len(got) >= 0.99 * len(truth_pairs)
 
 
-def test_join_assembly_matches_broadcast(ray_session):
-    """Forcing cc_driver_max_edges=0 routes through distributed CC labels +
-    the join-based member assembly (no driver label dict) — output must be
-    identical to the default broadcast assembly."""
+def _assembled_both_ways():
+    """Cluster tables of the broadcast assembly (driver union-find labels)
+    and of the join assembly (cc_driver_max_edges=0: distributed CC labels,
+    no driver label dict), each collected in row order."""
     from europa_ray.config import EngineConfig
     from europa_ray.pipelines.neardup import near_dup_pipeline
     from europa_ray.sources.augment import with_mutants
     from europa_ray.sources.files import read_documents_as_files
-    from tests.conftest import SF_TINY
+    from tests.conftest import SF_TINY, collect
 
     docs = with_mutants(read_documents_as_files(SF_TINY))
-    base = near_dup_pipeline(docs, id_cols=("doc_id",))["clusters"].to_pandas()
+    base = near_dup_pipeline(docs, id_cols=("doc_id",))["clusters"]
     forced = near_dup_pipeline(
         docs, EngineConfig(cc_driver_max_edges=0), id_cols=("doc_id",)
-    )["clusters"].to_pandas()
-    key = lambda df: sorted(zip(df.doc_id, df.sha256, df.cluster_id, df.source))
-    assert key(forced) == key(base)
-    assert len(base) > 0
+    )["clusters"]
+    return collect(base), collect(forced)
+
+
+@pytest.fixture(scope="module")
+def assembled(ray_session):
+    return _assembled_both_ways()
+
+
+def test_join_assembly_matches_broadcast(assembled):
+    """The join-based member assembly gives the broadcast assembly's table,
+    row order included."""
+    base, forced = assembled
+    assert base.num_rows > 0
+    assert base.schema == forced.schema
+    assert base.equals(forced)
+
+
+def test_assembly_distributed_sort_matches_driver_sort(assembled, monkeypatch):
+    """With the driver-sort budget forced to 0 both assembly branches end in
+    ``Dataset.sort``; both give the driver-sorted table, row order included."""
+    from europa_ray import util
+
+    monkeypatch.setattr(util, "DRIVER_SORT_MAX_BYTES", 0)
+    base, forced = _assembled_both_ways()
+    assert base.equals(assembled[0])
+    assert forced.equals(assembled[0])
 
 
 def test_near_dup_representatives_tiny_distributed(ray_session):
