@@ -91,16 +91,12 @@ def minhash_signatures(
                 # avoids materializing a uint64 (m, p) intermediate
                 mixed = ((seg[:, None] * a[None, :]) >> _U64(32)).astype(np.uint32)
                 mixed += b32[None, :]
-            # clip: an empty row at the chunk edge would index past the end
-            # (its bogus value is masked out below anyway)
-            starts = np.minimum(
-                (sh_offsets[r0:r1] - s0).astype(np.int64), s1 - s0 - 1
-            )
-            mins = np.minimum.reduceat(mixed, starts, axis=0)
-            # reduceat is wrong for empty segments (returns the element at the
-            # start index) — mask them back to the sentinel
+            # reduce over NON-EMPTY rows' starts only: reduceat is wrong for
+            # empty segments, and an empty row's start clipped to the chunk
+            # end would cut the last shingle off the row before it
             nonempty = np.diff(sh_offsets[r0 : r1 + 1]) > 0
-            out[r0:r1][nonempty] = mins[nonempty]
+            starts = (sh_offsets[r0:r1][nonempty] - s0).astype(np.int64)
+            out[r0:r1][nonempty] = np.minimum.reduceat(mixed, starts, axis=0)
         r0 = r1
     return out
 

@@ -15,7 +15,6 @@ tokens or shingles.
 
 from __future__ import annotations
 
-import itertools
 import re
 
 import numpy as np
@@ -96,14 +95,17 @@ def _token_boundaries(
     """Shared boundary machinery for ``tokenize_bytes`` and ``token_spans``
     (ONE implementation — the rewrite's span↔hash alignment depends on the
     two agreeing byte-for-byte): returns ``(ascii_rows, starts, ends,
-    row_of_start)`` over the flat byte buffer. ``data`` must be non-empty.
+    start_offsets)`` over the flat byte buffer, where row ``r``'s tokens are
+    ``starts[start_offsets[r]:start_offsets[r + 1]]``. ``data`` must be
+    non-empty.
 
     ascii-row detection: reduceat runs over NON-EMPTY rows' start offsets
     only (strictly increasing, all < n), so no index clipping is needed and
     every row's final byte is inspected — a clipped trailing offset would
     silently exclude the last byte of the preceding row from the check.
-    Word runs reset at row boundaries so runs never span adjacent rows in
-    the contiguous buffer.
+    Word runs reset at row boundaries (at each row's first byte for run
+    starts, at its last byte for run ends) so runs never span adjacent rows
+    in the contiguous buffer; run starts and run ends then pair up in order.
     """
     n_rows = row_offsets.shape[0] - 1
     n = data.shape[0]
@@ -118,28 +120,24 @@ def _token_boundaries(
 
     cls = _BYTE_CLASS[data]
     word = cls == 1
-    punct = cls == 2
     prev_word = np.zeros(n, dtype=bool)
     prev_word[1:] = word[:-1]
     row_starts = row_offsets[:-1]
-    row_starts = row_starts[row_starts < n]
-    prev_word[row_starts] = False
-    run_start = word & ~prev_word
+    prev_word[row_starts[row_starts < n]] = False
+    next_word = np.zeros(n, dtype=bool)
+    next_word[:-1] = word[1:]
+    row_lasts = row_offsets[1:] - 1
+    next_word[row_lasts[row_lasts >= 0]] = False
 
-    starts = np.nonzero(run_start | punct)[0]
-    # word-run end = next non-word position after the start (or n)
-    nonword_pos = np.nonzero(~word)[0]
-    ends = np.full(starts.shape[0], n, dtype=np.int64)
-    if nonword_pos.shape[0]:
-        run_end_idx = np.searchsorted(nonword_pos, starts)
-        has_end = run_end_idx < nonword_pos.shape[0]
-        ends[has_end] = nonword_pos[run_end_idx[has_end]]
-    is_punct_tok = punct[starts]
-    ends[is_punct_tok] = starts[is_punct_tok] + 1
-    # clamp to the row boundary
-    row_of_start = np.searchsorted(row_offsets, starts, side="right") - 1
-    ends = np.minimum(ends, row_offsets[row_of_start + 1])
-    return ascii_rows, starts, ends, row_of_start
+    is_start = word & ~prev_word
+    is_start |= cls == 2
+    starts = np.nonzero(is_start)[0]
+    # a punct token is one byte; the k-th word-run start ends at the k-th
+    # word-run end
+    ends = starts + 1
+    ends[word[starts]] = np.nonzero(word & ~next_word)[0] + 1
+    start_offsets = np.searchsorted(starts, row_offsets)
+    return ascii_rows, starts, ends, start_offsets
 
 
 def token_spans(
@@ -161,53 +159,45 @@ def token_spans(
         z = np.zeros(n_rows + 1, dtype=np.int64)
         return np.empty(0, np.int64), np.empty(0, np.int64), z, passthrough
 
-    ascii_rows, starts, ends, row_of_start = _token_boundaries(data, row_offsets)
+    ascii_rows, starts, ends, start_offsets = _token_boundaries(data, row_offsets)
+    fb_rows = np.nonzero(~ascii_rows)[0]  # empty rows count as ASCII
+    if not fb_rows.shape[0]:
+        return starts, ends, start_offsets, passthrough
 
-    keep = ascii_rows[row_of_start]
-    s_f, e_f, r_f = starts[keep], ends[keep], row_of_start[keep]
-    counts = np.bincount(r_f, minlength=n_rows).astype(np.int64)
-
-    fb_rows = np.nonzero(~ascii_rows & (np.diff(row_offsets) > 0))[0]
-    fb_spans: dict[int, list[tuple[int, int]]] = {}
+    # splice each fallback row's regex spans between the byte-level spans
+    # of the ASCII rows around it
+    counts = np.diff(start_offsets)
+    s_parts, e_parts = [], []
+    prev = 0
     for r in fb_rows:
+        lo, hi = start_offsets[prev], start_offsets[r]
+        s_parts.append(starts[lo:hi])
+        e_parts.append(ends[lo:hi])
+        prev = r + 1
         base = int(row_offsets[r])
         seg = data[base : row_offsets[r + 1]].tobytes()
         try:
             text = seg.decode("utf-8")
         except UnicodeDecodeError:
             passthrough[r] = True
+            counts[r] = 0
             continue
         blens = np.fromiter(
             (len(c.encode("utf-8")) for c in text), dtype=np.int64, count=len(text)
         )
         boff = np.zeros(len(text) + 1, dtype=np.int64)
         np.cumsum(blens, out=boff[1:])
-        spans = [
-            (base + int(boff[m.start()]), base + int(boff[m.end()]))
-            for m in TOKEN_RE.finditer(text)
-        ]
-        fb_spans[int(r)] = spans
-        counts[r] = len(spans)
-
+        spans = np.array(
+            [(m.start(), m.end()) for m in TOKEN_RE.finditer(text)], dtype=np.int64
+        ).reshape(-1, 2)
+        s_parts.append(base + boff[spans[:, 0]])
+        e_parts.append(base + boff[spans[:, 1]])
+        counts[r] = spans.shape[0]
+    s_parts.append(starts[start_offsets[prev] :])
+    e_parts.append(ends[start_offsets[prev] :])
     offsets = np.zeros(n_rows + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
-    out_s = np.empty(offsets[-1], dtype=np.int64)
-    out_e = np.empty(offsets[-1], dtype=np.int64)
-    if s_f.shape[0]:
-        idx = np.arange(s_f.shape[0])
-        change = np.ones(s_f.shape[0], dtype=bool)
-        change[1:] = r_f[1:] != r_f[:-1]
-        first_idx = np.nonzero(change)[0]
-        row_first = np.repeat(first_idx, np.diff(np.append(first_idx, s_f.shape[0])))
-        dst = offsets[r_f] + (idx - row_first)
-        out_s[dst] = s_f
-        out_e[dst] = e_f
-    for r, spans in fb_spans.items():
-        if spans:
-            arr = np.asarray(spans, dtype=np.int64)
-            out_s[offsets[r] : offsets[r] + len(spans)] = arr[:, 0]
-            out_e[offsets[r] : offsets[r] + len(spans)] = arr[:, 1]
-    return out_s, out_e, offsets, passthrough
+    return np.concatenate(s_parts), np.concatenate(e_parts), offsets, passthrough
 
 
 def tokenize_bytes(
@@ -227,12 +217,12 @@ def tokenize_bytes(
     if n == 0:
         return np.empty(0, _U64), np.zeros(n_rows + 1, dtype=np.int64)
 
-    ascii_rows, starts, ends, row_of_start = _token_boundaries(data, row_offsets)
+    ascii_rows, starts, ends, start_offsets = _token_boundaries(data, row_offsets)
 
     # token hash from (head8, tail8, length): ONE unaligned little-endian u64
     # load per affix via an overlapping 1-byte-stride view, masked to the
     # token length — two gathers per token, no per-byte matrices
-    lens = (ends - starts).astype(np.int64)
+    lens = ends - starts
     tl = np.minimum(lens, 8)
     padded = np.zeros(n + 8, dtype=np.uint8)
     padded[:n] = data
@@ -241,37 +231,26 @@ def tokenize_bytes(
     tail = over[ends - tl] & _LEN_MASKS[tl]
     tok_hash = _finalize_token_hash(head, tail, lens.astype(_U64))
 
-    # keep only tokens from ASCII rows; count per row
-    tok_row = row_of_start
-    keep = ascii_rows[tok_row]
-    tok_hash = tok_hash[keep]
-    tok_row = tok_row[keep]
-    counts = np.bincount(tok_row, minlength=n_rows).astype(np.int64)
+    fb_rows = np.nonzero(~ascii_rows)[0]  # empty rows count as ASCII
+    if not fb_rows.shape[0]:
+        return tok_hash, start_offsets
 
-    # fallback rows: regex on the decoded string, same byte-hash per token
-    fb_rows = np.nonzero(~ascii_rows & (np.diff(row_offsets) > 0))[0]
-    fb_hashes: dict[int, list[int]] = {}
+    # fallback rows: regex on the decoded string, same byte-hash per token,
+    # spliced between the fast-path tokens of the ASCII rows around them
+    counts = np.diff(start_offsets)
+    parts = []
+    prev = 0
     for r in fb_rows:
+        parts.append(tok_hash[start_offsets[prev] : start_offsets[r]])
+        prev = r + 1
         seg = data[row_offsets[r] : row_offsets[r + 1]].tobytes()
         toks = TOKEN_RE.findall(seg.decode("utf-8", errors="replace"))
-        fb_hashes[int(r)] = [_byte_token_hash(t.encode("utf-8")) for t in toks]
+        parts.append(np.array([_byte_token_hash(t.encode("utf-8")) for t in toks], dtype=_U64))
         counts[r] = len(toks)
-
+    parts.append(tok_hash[start_offsets[prev] :])
     offsets = np.zeros(n_rows + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
-    out = np.empty(offsets[-1], dtype=_U64)
-    # scatter fast-path tokens: they are already in (row, position) order, so
-    # destination = offsets[row] + intra-row index (stable cumcount per row)
-    if tok_hash.shape[0]:
-        idx = np.arange(tok_hash.shape[0])
-        change = np.ones(tok_hash.shape[0], dtype=bool)
-        change[1:] = tok_row[1:] != tok_row[:-1]
-        first_idx = np.nonzero(change)[0]
-        row_first = np.repeat(first_idx, np.diff(np.append(first_idx, tok_hash.shape[0])))
-        out[offsets[tok_row] + (idx - row_first)] = tok_hash
-    for r, hs in fb_hashes.items():
-        out[offsets[r] : offsets[r] + len(hs)] = np.array(hs, dtype=_U64)
-    return out, offsets
+    return np.concatenate(parts), offsets
 
 
 def arrow_string_bytes(arr) -> tuple[np.ndarray, np.ndarray]:
@@ -415,7 +394,7 @@ def shingles(
     if m > 0:
         # valid window starts: start in [offsets[r], offsets[r+1]-k] for row r
         starts = np.arange(m, dtype=np.int64)
-        row_of = np.searchsorted(offsets, starts, side="right") - 1
+        row_of = np.repeat(np.arange(n_rows, dtype=np.int64), row_lens)[:m]
         valid = starts + k <= offsets[row_of + 1]
         long_rows = row_lens >= k
         # destinations: rows with len>=k take their windows in order
@@ -455,9 +434,7 @@ def truncate_rows(flat: np.ndarray, offsets: np.ndarray, max_len: int) -> tuple[
     new_lens = np.minimum(lens, max_len)
     new_offsets = np.zeros_like(offsets)
     np.cumsum(new_lens, out=new_offsets[1:])
-    idx = np.arange(flat.shape[0])
-    row_of = np.searchsorted(offsets, idx, side="right") - 1
-    keep = (idx - offsets[row_of]) < max_len
+    keep = np.arange(flat.shape[0]) - np.repeat(offsets[:-1], lens) < max_len
     return flat[keep], new_offsets
 
 

@@ -2,8 +2,9 @@
 
 Engine shape (north rule)::
 
-    read_parquet → filters → SignatureStage actor pool (sha256 + tokenize +
-    5-gram shingles + MinHash-128 + SimHash-64, content dropped)
+    read_parquet → filters → signature tasks (sha256 + tokenize + 5-gram
+    shingles + MinHash-128 over the shingle stream, content dropped; only
+    a set-weighted fuzzy kernel sorts the stream into a set)
         → band explode (×16) → groupby(band_key) over colliding keys
         → in-band pairing with inline Jaccard verify + hot-band windowing
         → pair dedup (groupby(a,b))
@@ -76,7 +77,7 @@ def near_dup_pipeline(
     if progress is not None:
         sigs = progress.count_stage(sigs, "signature_rows")
     # the signature table is consumed twice (pairs + member assembly):
-    # materialize once so the actor pool doesn't recompute per consumer
+    # materialize once so the signature tasks do not rerun per consumer
     sigs = sigs.materialize()
 
     pairs, aux = candidate_pairs(

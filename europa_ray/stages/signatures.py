@@ -1,17 +1,16 @@
-"""Signature stage — per-worker cached state, two deployment shapes.
+"""Signature stage — per-worker cached state, one task-based shape.
 
-Per-worker state (built once, like the DCT coefficient matrix in Europa's
-static ctor, ``/root/reference/Api/Implementations/SimilarImages/
-ImageHashs/PerceptualHash.cs:24-61``): the 128 MinHash permutation seeds and
-the engine config. Per batch: sha256, tokenize (token-capped), 5-gram
-shingles, MinHash-128 + SimHash-64 — all NumPy-vectorized over flat
-token/shingle arrays with private-L2-sized chunks. Content is dropped from
-the output so no downstream shuffle ever moves file bodies.
-
-Two shapes (see :func:`signatures`): the default task-based form (state in a
-module cache, once per Ray worker process — no pool startup cost) and the
-classic actor pool (``map_batches(SignatureStage, concurrency=(n, m))``) for
-genuinely expensive per-actor state or per-actor resource isolation.
+Per-worker state (built once, like the DCT coefficient matrix in the static
+ctor of Europa's ``ImageHashs/PerceptualHash.cs``): the 128 MinHash
+permutation seeds and the engine config, held in a module cache once per
+Ray worker process (see :func:`signature_task`). Per batch: sha256,
+tokenize (token-capped), 5-gram shingles, then MinHash-128 over the
+shingle stream as it comes — a per-slot minimum ignores repeats, so the
+bag's signature is the set's bit for bit. Only a set-weighted 64-bit fuzzy
+kernel (SimHash) sorts the stream into a per-row set first. All
+NumPy-vectorized over flat token/shingle arrays with private-L2-sized
+chunks. Content is dropped from the output so no downstream shuffle ever
+moves file bodies.
 """
 
 from __future__ import annotations
@@ -20,7 +19,11 @@ import numpy as np
 import pyarrow as pa
 
 from europa_ray.config import DEFAULT_CONFIG, EngineConfig
-from europa_ray.functions.sig import make_perm_seeds, minhash_signatures
+from europa_ray.functions.sig import (
+    make_perm_seeds,
+    minhash_signatures,
+    minhash_signatures_oph,
+)
 from europa_ray.functions.text import shingles, tokenize_arrow, truncate_rows, unique_per_row
 from europa_ray.util import hex_to_u64, sha256_hex_arrow
 
@@ -63,21 +66,19 @@ class SignatureStage:
         th, off = tokenize_arrow(content)
         th, off = truncate_rows(th, off, cfg.max_sig_tokens)
         sh, soff = shingles(th, off, cfg.shingle_k)
-        ush, uoff = unique_per_row(sh, soff)
+        # MinHash reads the shingle bag: the per-slot minimum ignores repeats
         if not self.compute_minhash:
             sig = None
         elif cfg.minhash_mode == "oph":
-            from europa_ray.functions.sig import minhash_signatures_oph
-
-            sig = minhash_signatures_oph(ush, uoff, cfg.num_perm, cfg.seed)
+            sig = minhash_signatures_oph(sh, soff, cfg.num_perm, cfg.seed)
         else:
-            sig = minhash_signatures(ush, uoff, self.perm_seeds)  # uint32 (n, p)
+            sig = minhash_signatures(sh, soff, self.perm_seeds)  # uint32 (n, p)
         if not self.compute_fuzzy:
             sim = None
         elif self.fuzzy_ordered:
             sim = self.fuzzy_fn(sh, soff)
         else:
-            sim = self.fuzzy_fn(ush, uoff)
+            sim = self.fuzzy_fn(*unique_per_row(sh, soff))
         n_tokens = np.diff(off)
 
         sha_kept = [h for h in sha if h is not None]
@@ -97,24 +98,6 @@ class SignatureStage:
         if sim is not None:
             cols["simhash"] = pa.array(sim[keep].view(np.int64))
         return pa.table(cols)
-
-
-def default_pool_size(reserve: int = 2, cap: int = 64) -> tuple[int, int]:
-    """Autoscaling actor-pool bounds that can never starve the pipeline:
-    max = cluster CPUs − ``reserve`` (read/shuffle tasks need CPUs too — a
-    pool equal to the CPU count deadlocks the streaming executor), min = 1.
-    """
-    import ray
-
-    try:
-        cpus = int(ray.cluster_resources().get("CPU", 4))
-    except Exception:
-        cpus = 4
-    size = max(1, min(cap, cpus - reserve))
-    # fixed-size pool (min == max): autoscaling from 1 wastes several seconds
-    # of ramp-up per stage; reserve ≥ 2 CPUs stay free so upstream reads and
-    # shuffle aggregators always make progress (no starvation deadlock)
-    return (size, size)
 
 
 _STAGE_CACHE: dict[tuple, SignatureStage] = {}
@@ -147,33 +130,13 @@ def signatures(
     cfg: EngineConfig = DEFAULT_CONFIG,
     *,
     id_cols: tuple[str, ...] = ("repo", "path", "commit"),
-    concurrency=None,
-    use_actor_pool: bool = False,
     compute_fuzzy: bool = True,
     compute_minhash: bool = True,
 ):
-    """Attach the signature stage to a files Dataset.
-
-    Default is the task-based form (warm shared workers, per-process cached
-    permutation state). ``use_actor_pool=True`` switches to a dedicated
-    ``map_batches(SignatureStage, concurrency=...)`` actor pool — the right
-    shape when per-actor state is genuinely expensive (models, indexes) or
-    needs resource isolation (``num_cpus``/``num_gpus`` per actor); for this
-    stage's tiny seed table the pool's startup cost outweighs its benefit.
-    """
-    if use_actor_pool:
-        return files.map_batches(
-            SignatureStage,
-            fn_constructor_kwargs={
-                "cfg": cfg,
-                "id_cols": id_cols,
-                "compute_fuzzy": compute_fuzzy,
-                "compute_minhash": compute_minhash,
-            },
-            concurrency=concurrency or default_pool_size(),
-            batch_size=cfg.batch_size,
-            batch_format="pyarrow",
-        )
+    """Attach the signature stage to a files Dataset: :func:`signature_task`
+    over warm shared task workers with per-process cached permutation state
+    (a dedicated actor pool's startup cost outweighs this stage's tiny seed
+    table)."""
     return files.map_batches(
         signature_task,
         fn_kwargs={

@@ -15,6 +15,7 @@ from europa_ray.functions.sig import (
     hamming64,
     make_perm_seeds,
     minhash_signatures,
+    minhash_signatures_oph,
     simhash_band_keys,
     simhash_signatures,
 )
@@ -23,6 +24,7 @@ from europa_ray.functions.text import (
     shingles,
     token_counts,
     tokenize,
+    truncate_rows,
     unique_per_row,
 )
 from europa_ray.util import sha256_hex
@@ -88,6 +90,17 @@ def test_unique_per_row():
     assert uf[2:3].tolist() == [9]
 
 
+def test_truncate_rows_matches_per_row_slices():
+    rows = [list(range(5)), [], [7, 8], list(range(10, 17)), [1, 2, 3]]
+    flat = np.array([v for r in rows for v in r], dtype=np.uint64)
+    off = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum([len(r) for r in rows], out=off[1:])
+    tf, toff = truncate_rows(flat, off, 3)
+    assert [tf[toff[i] : toff[i + 1]].tolist() for i in range(len(rows))] == [r[:3] for r in rows]
+    same, same_off = truncate_rows(flat, off, 7)
+    assert same is flat and same_off is off
+
+
 def test_minhash_matches_bruteforce():
     th, off = tokenize(TEXTS)
     sh, soff = shingles(th, off, 5)
@@ -122,6 +135,17 @@ def test_chunk_edge_empty_rows():
     assert (sh == simhash_signatures(flat, off)).all() and sh[1] == 0
 
 
+def test_minhash_trailing_empty_row_keeps_last_shingle():
+    """Regression: an empty row at a chunk's end must not cut the last
+    shingle off the row before it (its start used to be clipped to the
+    chunk end, which closed the previous row's reduceat segment early)."""
+    seeds = make_perm_seeds(128, 42)
+    flat = np.array([5, 2**40 + 3], dtype=np.uint64)
+    whole = minhash_signatures(flat, np.array([0, 2]), seeds)
+    sig = minhash_signatures(flat, np.array([0, 2, 2]), seeds)
+    assert (sig[0] == whole[0]).all() and (sig[1] == EMPTY_SIG32).all()
+
+
 def test_minhash_chunking_invariant():
     th, off = tokenize(TEXTS * 20)
     sh, soff = shingles(th, off, 5)
@@ -129,6 +153,54 @@ def test_minhash_chunking_invariant():
     a = minhash_signatures(sh, soff, seeds)
     b = minhash_signatures(sh, soff, seeds, max_chunk_cells=512)
     assert (a == b).all()
+
+
+def test_minhash_bag_equals_set_edge_rows_and_chunks():
+    """Bag == set on empty, 1-element and all-duplicate rows, in one batch
+    whose shingle count crosses OPH's 48k sort chunk and perm's
+    ``max_chunk_cells`` (375 shingles at 128 perms)."""
+    rng = np.random.default_rng(9)
+    rows = [np.empty(0, np.uint64), np.array([7], np.uint64), np.full(50, 3, np.uint64)]
+    for n in rng.integers(500, 4000, 40):
+        pool = rng.integers(0, 2**64, max(1, n // 3), dtype=np.uint64)
+        rows += [pool[rng.integers(0, pool.shape[0], n)], np.empty(0, np.uint64)]
+    rows += [np.full(2, 11, np.uint64), np.array([5], np.uint64)]
+    flat = np.concatenate(rows)
+    off = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum([r.shape[0] for r in rows], out=off[1:])
+    uflat, uoff = unique_per_row(flat, off)
+    assert flat.shape[0] > 48_000 and uflat.shape[0] < flat.shape[0]
+
+    oph = minhash_signatures_oph(flat, off, 128, 11)
+    assert (oph == minhash_signatures_oph(uflat, uoff, 128, 11)).all()
+    seeds = make_perm_seeds(128, 42)
+    perm = minhash_signatures(flat, off, seeds)
+    assert (perm == minhash_signatures(uflat, uoff, seeds)).all()
+    empty = np.diff(off) == 0
+    assert (oph[empty] == EMPTY_SIG32).all() and (perm[empty] == EMPTY_SIG32).all()
+    assert (oph[~empty] != EMPTY_SIG32).any(axis=1).all()
+
+
+@pytest.mark.parametrize("mode", ["oph", "perm"])
+def test_signature_stage_matches_sorting_reference(monkeypatch, mode):
+    """The stage's MinHash over the shingle bag gives the same table as a
+    reference stage that sorts each row's shingles into a set first, on the
+    planted corpus."""
+    import pyarrow as pa
+
+    import europa_ray.stages.signatures as sigmod
+    from europa_ray.config import EngineConfig
+    from europa_ray.corpus import generate_corpus
+
+    files = generate_corpus(n_rows=1000, seed=42)["files"]
+    cfg = EngineConfig(minhash_mode=mode)
+    batches = [files.slice(i, 256) for i in range(0, files.num_rows, 256)]
+    got = pa.concat_tables(sigmod.SignatureStage(cfg, compute_fuzzy=False)(b) for b in batches)
+    shingles_bag = sigmod.shingles
+    monkeypatch.setattr(sigmod, "shingles", lambda th, off, k: unique_per_row(*shingles_bag(th, off, k)))
+    want = pa.concat_tables(sigmod.SignatureStage(cfg, compute_fuzzy=False)(b) for b in batches)
+    assert got.num_rows > 0
+    assert got.equals(want)
 
 
 def test_minhash_jaccard_estimate_quality():

@@ -61,6 +61,100 @@ def test_minhash_permutation_invariance(vals):
         assert (sig_a == sig_b).all()
 
 
+# a small value pool forces repeated shingles inside a row
+_POOL = np.random.default_rng(3).integers(0, 2**64, 40, dtype=np.uint64)
+bags_strategy = st.lists(
+    st.lists(st.integers(0, len(_POOL) - 1), max_size=60), min_size=0, max_size=10
+)
+
+
+def _row_offsets(rows):
+    off = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum([len(r) for r in rows], out=off[1:])
+    return off
+
+
+@settings(max_examples=50, deadline=None)
+@given(bags_strategy)
+def test_minhash_bag_equals_set(rows):
+    """MinHash keeps a per-slot minimum, so the signature of a shingle bag
+    equals that of its per-row set, for both kernels."""
+    from europa_ray.functions.sig import minhash_signatures_oph
+
+    flat = _POOL[np.array([i for r in rows for i in r], dtype=np.int64)]
+    off = _row_offsets(rows)
+    uflat, uoff = unique_per_row(flat, off)
+    seeds = make_perm_seeds(128, 42)
+    assert (minhash_signatures_oph(flat, off, 128, 7)
+            == minhash_signatures_oph(uflat, uoff, 128, 7)).all()
+    assert (minhash_signatures(flat, off, seeds)
+            == minhash_signatures(uflat, uoff, seeds, max_chunk_cells=128 * 3)).all()
+
+
+# rows rich in word bytes at both ends, so adjacent rows would merge their
+# word runs if a run crossed a row boundary; \v is a token byte
+edge_texts_strategy = st.lists(
+    st.text(alphabet=st.sampled_from(list("ab_Z9 \t\n\r\f\v(;.") + ["é", "€", "漢"]),
+            max_size=30),
+    min_size=0,
+    max_size=8,
+)
+byte_rows_strategy = st.lists(
+    st.one_of(
+        st.binary(max_size=30),  # mostly invalid UTF-8
+        st.text(alphabet=st.sampled_from(list("ab_9 \n\v(") + ["é"]), max_size=30)
+        .map(lambda t: t.encode("utf-8")),
+    ),
+    min_size=0,
+    max_size=8,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(texts_strategy, edge_texts_strategy))
+def test_tokenize_hashes_match_regex(texts):
+    """Every row's token hashes are the reference byte hash of each
+    ``TOKEN_RE`` match, in order (pins values, not only counts)."""
+    from europa_ray.functions.text import _byte_token_hash
+
+    th, off = tokenize(texts)
+    for i, t in enumerate(texts):
+        want = [_byte_token_hash(m.encode("utf-8")) for m in TOKEN_RE.findall(t)]
+        assert th[off[i] : off[i + 1]].tolist() == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(byte_rows_strategy)
+def test_token_hashes_and_spans_match_regex_on_bytes(rows):
+    """Raw byte rows, invalid UTF-8 included: hashes follow ``TOKEN_RE`` over
+    the replacement-decoded text; ``token_spans`` (same boundary pass)
+    gives the byte span of every ``TOKEN_RE`` match of a decodable row and
+    flags undecodable rows as passthrough with no tokens."""
+    from europa_ray.functions.text import _byte_token_hash, token_spans, tokenize_bytes
+
+    data = np.frombuffer(b"".join(rows), dtype=np.uint8)
+    roff = _row_offsets(rows)
+    th, off = tokenize_bytes(data, roff)
+    ss, se, soff, passthrough = token_spans(data, roff)
+    for i, raw in enumerate(rows):
+        text = raw.decode("utf-8", errors="replace")
+        want = [_byte_token_hash(m.encode("utf-8")) for m in TOKEN_RE.findall(text)]
+        assert th[off[i] : off[i + 1]].tolist() == want
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError:
+            assert passthrough[i] and soff[i] == soff[i + 1]
+            continue
+        assert not passthrough[i]
+        spans = [
+            (len(text[: m.start()].encode("utf-8")), len(text[: m.end()].encode("utf-8")))
+            for m in TOKEN_RE.finditer(text)
+        ]
+        got = list(zip((ss[soff[i] : soff[i + 1]] - roff[i]).tolist(),
+                       (se[soff[i] : soff[i + 1]] - roff[i]).tolist()))
+        assert got == spans
+
+
 def test_identify_kind_chain():
     from europa_ray.stages.classify import identify_kind
 
