@@ -3402,6 +3402,12 @@ def oracle_sql() -> dict[str, str]:
           ) WHERE rn = 1
         )"""
 
+    # `surv` and `tedges` are declared MATERIALIZED: DuckDB otherwise
+    # inlines a CTE at every reference, so the survivor chain (the regex
+    # normalization and, with t2, the canon window/group levels) is
+    # recomputed under stoks/sgrams/ssizes and under both arms of the
+    # recursive treach, and the t2 oracle exhausts memory (12.5 GiB at
+    # sf0.001). The hints change the plan only, not the result.
     def _tiered_sql(tg2: str, trep: str, t2: bool = False) -> str:
         # Optional Type-2 fragments (with_type2=True, default guard
         # t2_min_tokens=5 + require-a-repeated-token): the canon chain from
@@ -3452,9 +3458,10 @@ def oracle_sql() -> dict[str, str]:
         tg3 AS (SELECT psha, min(doc_id) AS rep3 FROM spsha GROUP BY psha),
         sp AS (SELECT s.doc_id, s.text, g3.rep3
                FROM spsha s JOIN tg3 g3 USING (psha)),
-        surv AS (SELECT doc_id, text FROM sp WHERE doc_id = rep3),""" if t2 else """
-        surv AS (SELECT doc_id, text FROM attr
-                 WHERE doc_id = rep1 AND rep1 = rep2),"""
+        surv AS MATERIALIZED (
+          SELECT doc_id, text FROM sp WHERE doc_id = rep3),""" if t2 else """
+        surv AS MATERIALIZED (SELECT doc_id, text FROM attr
+                              WHERE doc_id = rep1 AND rep1 = rep2),"""
         t2_drops = """
           UNION ALL
           SELECT doc_id, 't2', rep3 FROM sp WHERE doc_id <> rep3""" if t2 else ""
@@ -3518,8 +3525,8 @@ def oracle_sql() -> dict[str, str]:
           JOIN ssizes sb ON sb.doc_id = sinter.b
           WHERE CAST(c AS DOUBLE) / (sa.n + sb.n - c) >= 0.72
         ),
-        tedges AS (SELECT a AS u, b AS v FROM sjp
-                   UNION ALL SELECT b, a FROM sjp),
+        tedges AS MATERIALIZED (SELECT a AS u, b AS v FROM sjp
+                                UNION ALL SELECT b, a FROM sjp),
         treach AS (
           SELECT DISTINCT u AS node, u AS r FROM tedges
           UNION

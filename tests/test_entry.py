@@ -70,6 +70,32 @@ def test_query_matches_oracle(entry_mod, name):
                 assert (got[c].astype(str).to_numpy() == want[c].astype(str).to_numpy()).all(), c
 
 
+# The tiered oracles built by ``_tiered_sql`` and the key each returns one
+# row per: the attributions one row per doc_id, the savings rollup one per tier.
+_TIER_ORACLE_KEYS = {
+    "tiered_dedup": "doc_id",
+    "tiered_dedup_longest": "doc_id",
+    "tiered_dedup_t2": "doc_id",
+    "tier_savings": "tier",
+}
+
+
+@pytest.mark.parametrize("name", list(_TIER_ORACLE_KEYS))
+def test_tier_oracle_fits_in_memory(name):
+    """Each tiered oracle finishes at sf0.001 under a 2 GB DuckDB memory
+    limit (they need at most 1 GB with the survivor and edge CTEs
+    materialized; the t2 oracle without that fails even at 3 GB), so a plan
+    regression shows as a fast error here, not as an exhausted machine."""
+    con = duckdb.connect()
+    con.execute("SET memory_limit='2GB'")
+    for t in ["documents", "embeddings", "events"]:
+        con.execute(f"CREATE VIEW {t} AS SELECT * FROM '{SF_TINY}/{t}.parquet'")
+    df = con.execute(__ray_entry__.oracle_sql()[name]).df()
+    key = _TIER_ORACLE_KEYS[name]
+    assert len(df) > 0
+    assert df[key].is_unique, df[key].value_counts().head()
+
+
 def test_every_query_is_oracle_checked(entry_mod):
     """Round-4 invariant: EVERY queries() entry has a DuckDB oracle (no
     rows-only queries remain)."""
