@@ -226,16 +226,18 @@ def simhash_signatures(
         if s1 > s0:
             seg = np.ascontiguousarray(sh_flat[s0:s1])
             bits = np.unpackbits(seg.view(np.uint8).reshape(-1, 8), axis=1)  # (m, 64)
-            starts = np.minimum(
-                (sh_offsets[r0:r1] - s0).astype(np.int64), s1 - s0 - 1
-            )
+            # reduce over NON-EMPTY rows' starts only (as minhash_signatures
+            # does): an empty row's start clipped to the chunk end would cut
+            # the last shingle off the row before it
+            lens = lens_all[r0:r1]
+            nonempty = lens > 0
+            starts = (sh_offsets[r0:r1][nonempty] - s0).astype(np.int64)
             sums = np.add.reduceat(bits, starts, axis=0, dtype=np.int64)
             sums = sums[:, _BIT_TO_UNPACK]  # back to bit-position order
-            lens = lens_all[r0:r1][:, None]
-            setbits = (2 * sums >= lens) & (lens > 0)
-            packed = (setbits.astype(_U64) << shifts[None, :]).sum(axis=1, dtype=_U64)
-            nonempty = (lens > 0).ravel()
-            out[r0:r1][nonempty] = packed[nonempty]
+            setbits = 2 * sums >= lens[nonempty][:, None]
+            out[r0:r1][nonempty] = (setbits.astype(_U64) << shifts[None, :]).sum(
+                axis=1, dtype=_U64
+            )
         r0 = r1
     return out
 

@@ -349,9 +349,10 @@ def _parallel_bucket_pairs(g, nd, sz, pb, counts, work, tau):
     reducer blocks (no driver gather)."""
     import ray as _ray
 
+    from europa_ray.util import cluster_cpus
+
     num_parts = 32  # power of 2 (shard mask)
-    cpus = int(_ray.cluster_resources().get("CPU", 8))
-    num_tasks = max(1, min(64, cpus * 2))
+    num_tasks = max(1, min(64, cluster_cpus() * 2))
     ends = np.cumsum(counts)
     cw = np.cumsum(work)
     total_work = int(cw[-1])

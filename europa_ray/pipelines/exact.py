@@ -129,7 +129,7 @@ def exact_dup_clusters(
     # between distinct contents can never fabricate a false cluster.
     # The gather reads the materialized blocks one at a time by ref: an
     # iter_batches over them would start a full executor run (one
-    # projection task per block, ~1 s for 64 blocks at 1 CPU).
+    # projection task per block, ~15 ms each at 1 CPU).
     node_parts: list[np.ndarray] = []
     total = 0
     over = False
@@ -242,7 +242,7 @@ def dedup_representatives(
         add_sha256, fn_kwargs={"keep_cols": (id_col,)}, batch_format="pyarrow"
     )
     agg = hashed.groupby("sha256").min(id_col)
-    return agg.rename_columns({f"min({id_col})": id_col}).sort("sha256")
+    return sort_result(agg.rename_columns({f"min({id_col})": id_col}), ["sha256"])
 
 
 def dedup_report(
@@ -348,7 +348,7 @@ def dedup_report(
             }
         )
 
-    return rolled.map_batches(finish, batch_format="pyarrow").sort(group_col)
+    return sort_result(rolled.map_batches(finish, batch_format="pyarrow"), [group_col])
 
 
 def cross_corpus_new_docs(
@@ -551,6 +551,36 @@ DUP_RATE_SCHEMA = pa.schema(
 )
 
 
+def _lang_codes(langs) -> tuple[pa.Array, np.ndarray]:
+    """Distinct values of a lang column, sorted with null LAST (DuckDB's
+    ``GROUP BY lang ORDER BY lang`` keeps a null group and puts it there),
+    and each row's index into them. ``np.unique`` cannot order None
+    against strings."""
+    import pyarrow.compute as pc
+
+    if isinstance(langs, pa.ChunkedArray):
+        langs = langs.combine_chunks()
+    if not isinstance(langs, pa.Array):
+        langs = pa.array(langs, pa.string())
+    enc = langs.cast(pa.string()).dictionary_encode(null_encoding="encode")
+    order = pc.sort_indices(enc.dictionary, null_placement="at_end").to_numpy()
+    rank = np.empty(order.shape[0], np.int64)
+    rank[order] = np.arange(order.shape[0])
+    return enc.dictionary.take(order), rank[enc.indices.to_numpy()]
+
+
+def _flag_null_lang(b: pa.Table) -> pa.Table:
+    """``lang`` as a key Ray 2.49's sort-based groupby accepts: its partition
+    search cannot order a null string against strings, so a null lang is
+    stored as ``""`` and told apart by the extra key ``lang_null``."""
+    import pyarrow.compute as pc
+
+    lang = b["lang"]
+    return b.set_column(
+        b.column_names.index("lang"), "lang", pc.fill_null(lang, "")
+    ).append_column("lang_null", pc.is_null(lang))
+
+
 def _lang_sha_partials(
     batch: pa.Table, *, text_col: str, lang_col: str
 ) -> pa.Table:
@@ -574,21 +604,18 @@ def _lang_sha_partials(
     col = col.filter(valid)
     if len(col) == 0:
         return empty
-    langs = np.asarray(
-        batch[lang_col].filter(valid).to_pylist(), dtype=object
-    )
+    lvals, lcode = _lang_codes(batch[lang_col].filter(valid))
     shas = np.asarray(sha256_hex_arrow(col), dtype="S64")
-    lcodes_all, lcode = np.unique(langs, return_inverse=True)
     scodes_all, scode = np.unique(shas, return_inverse=True)
-    key = scode.astype(np.int64) * lcodes_all.shape[0] + lcode
+    key = scode.astype(np.int64) * len(lvals) + lcode
     uk, counts = np.unique(key, return_counts=True)
     return pa.table(
         {
             "sha": pa.array(
-                scodes_all[uk // lcodes_all.shape[0]].astype("U64").astype(object),
+                scodes_all[uk // len(lvals)].astype("U64").astype(object),
                 pa.string(),
             ),
-            "lang": pa.array(lcodes_all[uk % lcodes_all.shape[0]], pa.string()),
+            "lang": lvals.take(uk % len(lvals)),
             "c": pa.array(counts.astype(np.int64), pa.int64()),
         }
     )
@@ -601,9 +628,10 @@ def _dup_rate_table(
     (may repeat (sha, lang) across batches)."""
     if shas.shape[0] == 0:
         return DUP_RATE_SCHEMA.empty_table()
-    lcodes_all, lcode = np.unique(langs, return_inverse=True)
+    lvals, lcode = _lang_codes(langs)
+    n_langs = len(lvals)
     scodes_all, scode = np.unique(shas, return_inverse=True)
-    key = scode.astype(np.int64) * lcodes_all.shape[0] + lcode
+    key = scode.astype(np.int64) * n_langs + lcode
     order = np.argsort(key, kind="stable")
     k, c = key[order], cs[order]
     new = np.ones(k.shape[0], dtype=bool)
@@ -611,11 +639,10 @@ def _dup_rate_table(
     starts = np.nonzero(new)[0]
     gk = k[starts]
     gc = np.add.reduceat(c, starts)
-    gs, gl = gk // lcodes_all.shape[0], gk % lcodes_all.shape[0]
+    gs, gl = gk // n_langs, gk % n_langs
     total = np.zeros(scodes_all.shape[0], np.int64)
     np.add.at(total, gs, gc)
     dup = total[gs] > 1
-    n_langs = lcodes_all.shape[0]
     n_docs = np.zeros(n_langs, np.int64)
     n_dup_docs = np.zeros(n_langs, np.int64)
     n_dup_groups = np.zeros(n_langs, np.int64)
@@ -624,12 +651,12 @@ def _dup_rate_table(
     np.add.at(n_dup_groups, gl[dup], 1)
     return pa.table(
         {
-            "lang": pa.array(lcodes_all, pa.string()),
+            "lang": lvals,
             "n_docs": pa.array(n_docs, pa.int64()),
             "n_dup_docs": pa.array(n_dup_docs, pa.int64()),
             "n_dup_groups": pa.array(n_dup_groups, pa.int64()),
         }
-    )  # np.unique → lang-sorted
+    )  # _lang_codes → lang-sorted, null last
 
 
 def dup_rate_by_lang(
@@ -660,7 +687,7 @@ def dup_rate_by_lang(
 
     # --- driver fast path ---
     sha_p: list[np.ndarray] = []
-    lang_p: list[np.ndarray] = []
+    lang_p: list[pa.Array] = []
     c_p: list[np.ndarray] = []
     total = 0
     for b in partials.iter_batches(batch_format="pyarrow", batch_size=1 << 20):
@@ -669,18 +696,19 @@ def dup_rate_by_lang(
             sha_p = []
             break
         sha_p.append(b["sha"].to_numpy(zero_copy_only=False).astype("S64"))
-        lang_p.append(np.asarray(b["lang"].to_pylist(), dtype=object))
+        lang_p.extend(b["lang"].chunks)
         c_p.append(b["c"].to_numpy())
     else:
         if not sha_p:
             return DUP_RATE_SCHEMA.empty_table()
         return _dup_rate_table(
-            np.concatenate(sha_p), np.concatenate(lang_p), np.concatenate(c_p)
+            np.concatenate(sha_p), pa.chunked_array(lang_p, pa.string()), np.concatenate(c_p)
         )
 
     # --- distributed fallback ---
     grouped = (
-        partials.groupby(["sha", "lang"])
+        partials.map_batches(_flag_null_lang, batch_format="pyarrow")
+        .groupby(["sha", "lang_null", "lang"])
         .sum("c")
         .rename_columns({"sum(c)": "c"})
         .materialize()
@@ -692,6 +720,7 @@ def dup_rate_by_lang(
         pa.schema(
             [
                 pa.field("sha", pa.string()),
+                pa.field("lang_null", pa.bool_()),
                 pa.field("lang", pa.string()),
                 pa.field("c", pa.int64()),
             ]
@@ -721,30 +750,28 @@ def dup_rate_by_lang(
     )
 
     def per_lang_partial(b: pa.Table) -> pa.Table:
-        c = b["c"].cast(pa.int64()).to_numpy()
-        tot = b["total"].cast(pa.int64()).to_numpy()
-        langs = np.asarray(b["lang"].to_pylist(), dtype=object)
-        lcodes_all, lcode = np.unique(langs, return_inverse=True)
-        dup = tot > 1
-        n_langs = lcodes_all.shape[0]
-        nd = np.zeros(n_langs, np.int64)
-        ndd = np.zeros(n_langs, np.int64)
-        ndg = np.zeros(n_langs, np.int64)
-        np.add.at(nd, lcode, c)
-        np.add.at(ndd, lcode[dup], c[dup])
-        np.add.at(ndg, lcode[dup], 1)
-        return pa.table(
-            {
-                "lang": pa.array(lcodes_all, pa.string()),
-                "n_docs": pa.array(nd, pa.int64()),
-                "n_dup_docs": pa.array(ndd, pa.int64()),
-                "n_dup_groups": pa.array(ndg, pa.int64()),
-            }
+        import pyarrow.compute as pc
+
+        c = b["c"].cast(pa.int64())
+        dup = pc.greater(b["total"], 1)
+        g = (
+            pa.table(
+                {
+                    "lang_null": b["lang_null"],
+                    "lang": b["lang"],
+                    "n_docs": c,
+                    "n_dup_docs": pc.if_else(dup, c, 0),
+                    "n_dup_groups": dup.cast(pa.int64()),
+                }
+            )
+            .group_by(["lang_null", "lang"])
+            .aggregate([(k, "sum") for k in ("n_docs", "n_dup_docs", "n_dup_groups")])
         )
+        return g.rename_columns([n.removesuffix("_sum") for n in g.column_names])
 
     rolled = joined.map_batches(per_lang_partial, batch_format="pyarrow")
     agg = (
-        rolled.groupby("lang")
+        rolled.groupby(["lang_null", "lang"])
         .sum(["n_docs", "n_dup_docs", "n_dup_groups"])
         .rename_columns(
             {
@@ -756,13 +783,17 @@ def dup_rate_by_lang(
     )
 
     def finish(b: pa.Table) -> pa.Table:
+        import pyarrow.compute as pc
+
         return pa.table(
             {
-                "lang": b["lang"],
+                "lang": pc.if_else(
+                    b["lang_null"], pa.scalar(None, pa.string()), b["lang"]
+                ),
                 "n_docs": b["n_docs"].cast(pa.int64()),
                 "n_dup_docs": b["n_dup_docs"].cast(pa.int64()),
                 "n_dup_groups": b["n_dup_groups"].cast(pa.int64()),
             }
         )
 
-    return agg.map_batches(finish, batch_format="pyarrow").sort("lang")
+    return sort_result(agg.map_batches(finish, batch_format="pyarrow"), ["lang"])

@@ -9,6 +9,7 @@ Column pruning at the read (``columns=[...]``) is the engine's version of
 
 from __future__ import annotations
 
+import logging
 import os
 
 import pyarrow.compute as pc
@@ -18,17 +19,49 @@ from europa_ray.util import default_read_blocks
 
 FILES_COLUMNS = ["repo", "path", "commit", "lang", "content"]
 
+_log = logging.getLogger(__name__)
 
-def read_files(path: str, columns: list[str] | None = None) -> ray.data.Dataset:
+
+def input_bytes(paths: str | list[str]) -> int | None:
+    """Summed size of the files a reader of ``paths`` reads, listed through
+    ``pyarrow.fs``: every file below a directory (sidecar files such as
+    ``_SUCCESS`` or ``.crc`` count too; they only nudge an estimate), a
+    single file or a list of either. ``None``, with a warning that gives the reason, when the listing
+    fails (a missing path, an unknown or unreachable filesystem)."""
+    import pyarrow as pa
+    import pyarrow.fs as pafs
+
+    try:
+        total = 0
+        for path in [paths] if isinstance(paths, str) else paths:
+            if "://" in path:
+                fs, path = pafs.FileSystem.from_uri(path)
+            else:
+                fs, path = pafs.LocalFileSystem(), os.path.abspath(path)
+            info = fs.get_file_info(path)
+            if info.type == pafs.FileType.File:
+                total += info.size
+            elif info.type == pafs.FileType.Directory:
+                found = fs.get_file_info(pafs.FileSelector(path, recursive=True))
+                total += sum(f.size for f in found if f.type == pafs.FileType.File)
+            else:
+                raise FileNotFoundError(f"no file or directory at {path!r}")
+        return total
+    except (OSError, pa.ArrowException) as exc:
+        _log.warning("input listing failed, read blocks fall back to the cap: %r", exc)
+        return None
+
+
+def read_files(path: str | list[str], columns: list[str] | None = None) -> ray.data.Dataset:
     """Read a ``files(repo,path,commit,lang,content)`` parquet table/dir.
 
-    Block count targets ~8× cluster CPUs (measured knee, see
-    ``util.default_read_blocks``) — fine-grained enough that the signature
-    stage has no straggler tail, without Ray's default ~200-way split's
-    per-block scheduling overhead on small clusters.
+    The block count comes from ``util.default_read_blocks``: 8 per CPU on
+    a multi-CPU cluster (the measured knee that leaves the signature stage
+    no straggler tail); on one CPU one block per 4 MiB of input, at most 8,
+    so a small corpus pays few per-block tasks.
     """
     return ray.data.read_parquet(
-        path, columns=columns, override_num_blocks=default_read_blocks()
+        path, columns=columns, override_num_blocks=default_read_blocks(input_bytes(path))
     )
 
 
@@ -61,7 +94,9 @@ def read_files_jsonl(path: str) -> ray.data.Dataset:
     """Read a ``files`` corpus from JSON-Lines shards (one object per line,
     keys = the files columns) — same discovery/parallelism semantics as the
     Parquet reader; schema normalized to the canonical shape."""
-    ds = ray.data.read_json(path, override_num_blocks=default_read_blocks())
+    ds = ray.data.read_json(
+        path, override_num_blocks=default_read_blocks(input_bytes(path))
+    )
     return _normalize_files_schema(ds)
 
 
@@ -70,7 +105,9 @@ def read_files_csv(path: str) -> ray.data.Dataset:
     columns). Note CSV cannot represent embedded newlines portably across
     writers — prefer Parquet/JSONL for real corpora; this exists so a user
     ingesting legacy CSV listings gets the same pipeline surface."""
-    ds = ray.data.read_csv(path, override_num_blocks=default_read_blocks())
+    ds = ray.data.read_csv(
+        path, override_num_blocks=default_read_blocks(input_bytes(path))
+    )
     return _normalize_files_schema(ds)
 
 
@@ -116,9 +153,9 @@ def _docs_to_files(batch):
 def read_documents_as_files(sf_dir: str, columns: list[str] | None = None) -> ray.data.Dataset:
     """Adapter: the driver's ``documents`` table in ``files`` shape
     (keeps ``doc_id`` as an identity column)."""
+    path = os.path.join(sf_dir, "documents.parquet")
     ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"),
-        override_num_blocks=default_read_blocks(),
+        path, override_num_blocks=default_read_blocks(input_bytes(path))
     )
     ds = ds.map_batches(_docs_to_files, batch_format="pyarrow")
     if columns:

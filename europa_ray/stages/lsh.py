@@ -25,7 +25,7 @@ import pyarrow as pa
 from europa_ray.config import DEFAULT_CONFIG, EngineConfig
 from europa_ray.functions.sig import band_keys
 from europa_ray.stages.signatures import minhash_matrix, pack_sigs
-from europa_ray.util import default_num_partitions
+from europa_ray.util import cluster_cpus, default_num_partitions
 
 PAIRS_SCHEMA = pa.schema(
     [
@@ -417,10 +417,7 @@ def _pair_partitioned(
 
     if bk.shape[0] == 0:
         return np.empty(0, np.int64), np.empty(0, np.int64)
-    try:
-        cpus = int(ray.cluster_resources().get("CPU", 4))
-    except Exception:
-        cpus = 4
+    cpus = cluster_cpus()
     n_parts = 1
     while n_parts < min(64, 2 * cpus):
         n_parts *= 2

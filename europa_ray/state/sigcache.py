@@ -81,7 +81,7 @@ def _sig_cfg_fingerprint(cfg: EngineConfig) -> str:
     from europa_ray.state.manifest import fingerprint_of
 
     return fingerprint_of(
-        "sig-v1",
+        "sig-v2",
         cfg.seed,
         cfg.num_perm,
         cfg.shingle_k,

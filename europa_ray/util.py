@@ -13,6 +13,7 @@ for a fixed ``hash_key``).
 from __future__ import annotations
 
 import hashlib
+import logging
 
 import numpy as np
 import pandas as pd
@@ -21,6 +22,8 @@ import pandas as pd
 # signatures are persisted in checkpoint manifests).
 HASH_KEY = "europa-ray-v1-00"  # must be exactly 16 bytes
 assert len(HASH_KEY.encode()) == 16
+
+_log = logging.getLogger(__name__)
 
 _U64 = np.uint64
 _GOLDEN = _U64(0x9E3779B97F4A7C15)
@@ -137,37 +140,80 @@ def sha256_prefix_hex_arrow(col, fraction: float = 0.1) -> list[str | None]:
     return out
 
 
+# CPUs assumed when the Ray cluster cannot report its own.
+_FALLBACK_CPUS = 4
+
+
+def cluster_cpus() -> int:
+    """CPUs the Ray cluster reports, or ``_FALLBACK_CPUS`` (with a warning)
+    when it cannot be read, e.g. before Ray is initialized. The one place
+    the engine sizes its parallelism from."""
+    import ray
+
+    try:
+        return int(ray.cluster_resources().get("CPU", _FALLBACK_CPUS))
+    except ray.exceptions.RayError as exc:  # no session yet
+        _log.warning(
+            "cluster CPU count unreadable (%s); assuming %d", exc, _FALLBACK_CPUS
+        )
+        return _FALLBACK_CPUS
+
+
 def default_num_partitions(cap: int = 64) -> int:
     """Shuffle partition count sized to the cluster: Ray's hash-shuffle
     spawns aggregator actors proportional to the partition count, and a
     count exceeding available CPUs deadlocks small clusters. ``cpus − 2``
     leaves room for map/read tasks; capped for the sandbox (raise the cap on
     a real multi-node cluster)."""
-    try:
-        import ray
-
-        cpus = int(ray.cluster_resources().get("CPU", 4))
-    except Exception:
-        cpus = 4
-    return max(2, min(cap, cpus - 2))
+    return max(2, min(cap, cluster_cpus() - 2))
 
 
-def default_read_blocks(factor: int = 8, floor: int = 64) -> int:
-    """Read-parallelism target: ~``factor``× cluster CPUs.
+# Read blocks per CPU: the cap of default_read_blocks.
+READ_BLOCKS_PER_CPU = 8
+# Input bytes per read block below that cap, on a 1-CPU cluster.
+READ_BLOCK_BYTES = 4 << 20
 
-    Measured on the 480k-row scaling corpus: 2×CPUs blocks leaves a 2-wave
-    schedule whose straggler tail wastes ~30% of the signature stage
-    (8 CPUs: 34.3 s at 16 blocks → 23.7 s at 64; 32 CPUs: 16.6 s at 64 →
-    11.7 s at 256); 8× is the knee — beyond it per-block scheduling
-    overhead creeps back (8 CPUs / 256 blocks: 26.7 s). Low CPU counts are
-    insensitive (2 CPUs: 85/83/84 s at 16/64/128), so the floor is 64."""
-    try:
-        import ray
 
-        cpus = int(ray.cluster_resources().get("CPU", 4))
-    except Exception:
-        cpus = 4
-    return max(floor, factor * cpus)
+def default_read_blocks(input_bytes: int | None) -> int:
+    """Read block count for ``input_bytes`` of input files:
+    ``READ_BLOCKS_PER_CPU × cpus`` on a multi-CPU cluster, and
+    ``clamp(ceil(input_bytes / READ_BLOCK_BYTES), 1, READ_BLOCKS_PER_CPU)``
+    on one CPU.
+
+    The cap is the multi-CPU knee, measured on the 480k-row scaling corpus
+    (~650 MB at the planted corpus's ~1.4 KB per file): 2×CPUs blocks leaves a 2-wave schedule whose
+    straggler tail wastes ~30% of the signature stage (8 CPUs: 34.3 s at 16
+    blocks → 23.7 s at 64; 32 CPUs: 16.6 s at 64 → 11.7 s at 256); beyond
+    8× per-block scheduling overhead creeps back (8 CPUs / 256 blocks:
+    26.7 s). A size term would put that corpus below the cap (~155 blocks
+    at 32 CPUs), in the range measured as slow, so more than one CPU always
+    takes the cap.
+
+    On one CPU there is no tail to balance, and a block costs one Ray task
+    in every per-block pass (read + hash, attach, signature gather, member
+    tags) whatever its size, so a small input gets few blocks: the 12k-file
+    planted benchmark corpus (16 MB of Parquet) reads as 4 blocks instead
+    of the old 64-block floor, and its exact job fell from 1.63 to 0.42 s
+    (perfbench ``exact_s``, median of 10 runs).
+
+    ``input_bytes=None`` (the input could not be listed) takes the cap. The
+    decision is logged with its inputs and the bound that set it.
+    """
+    cpus = max(1, cluster_cpus())
+    cap = READ_BLOCKS_PER_CPU * cpus
+    if input_bytes is None:
+        blocks, why = cap, "cap (input size unknown)"
+    elif cpus > 1:
+        blocks, why = cap, "cap (multi-CPU)"
+    else:
+        by_size = -(-input_bytes // READ_BLOCK_BYTES)
+        blocks = min(cap, max(1, by_size))
+        why = "cap" if by_size > cap else "floor" if by_size < 1 else "size"
+    _log.info(
+        "read blocks: %d (input_bytes=%s, cpus=%d, set by %s)",
+        blocks, input_bytes, cpus, why,
+    )
+    return blocks
 
 
 def sorted_member(sorted_arr: np.ndarray, vals: np.ndarray) -> np.ndarray:

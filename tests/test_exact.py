@@ -279,3 +279,74 @@ def test_dup_rate_by_lang(ray_session, budget):
     assert df.n_docs.tolist() == [2, 4]          # de: xlang,solo; en: dup×2,xlang,only
     assert df.n_dup_docs.tolist() == [1, 3]      # de: xlang; en: dup×2 + xlang
     assert df.n_dup_groups.tolist() == [1, 2]    # de: {xlang}; en: {dup, xlang}
+
+
+def _lang_table(langs):
+    import pyarrow as pa
+
+    return pa.table(
+        {
+            "lang": pa.array(langs, pa.string()),
+            "content": pa.array(
+                ["dup", "dup", "xlang", "xlang", "solo", "dup"][: len(langs)],
+                pa.string(),
+            ),
+        }
+    )
+
+
+@pytest.mark.parametrize("budget", [50_000_000, 0])
+def test_dup_rate_by_lang_keeps_null_lang_last(ray_session, budget):
+    """A null ``lang`` is its own group, ordered last (DuckDB's GROUP BY
+    lang ORDER BY lang), on the driver rollup and the distributed one."""
+    import ray.data
+
+    from europa_ray.pipelines.exact import dup_rate_by_lang
+
+    t = _lang_table(["en", "en", None, "de", None, None])
+    got = dup_rate_by_lang(
+        ray.data.from_arrow(t).repartition(3), driver_max_rows=budget
+    )
+    df = (got if isinstance(got, ray.data.Dataset) else ray.data.from_arrow(got)).to_pandas()
+    assert df.lang.tolist() == ["de", "en", None]
+    assert df.n_docs.tolist() == [1, 2, 3]       # null: xlang, solo, dup
+    assert df.n_dup_docs.tolist() == [1, 2, 2]   # dup ×3 corpus-wide, xlang ×2
+    assert df.n_dup_groups.tolist() == [1, 1, 2]
+
+
+def _sort_budget_pair(monkeypatch, run):
+    """``run()``'s table with the driver sort, then with ``Dataset.sort``."""
+    from europa_ray import util
+
+    driver = collect(run())
+    monkeypatch.setattr(util, "DRIVER_SORT_MAX_BYTES", 0)
+    distributed = collect(run())
+    return driver, distributed
+
+
+def test_dedup_representatives_sort_dispatch_same_order(ray_session, files_ds, monkeypatch):
+    from europa_ray.pipelines.exact import dedup_representatives
+
+    a, b = _sort_budget_pair(monkeypatch, lambda: dedup_representatives(files_ds))
+    assert a.num_rows > 0 and a.equals(b)
+    assert a["sha256"].to_pylist() == sorted(a["sha256"].to_pylist())
+
+
+def test_dedup_report_sort_dispatch_same_order(ray_session, files_ds, monkeypatch):
+    from europa_ray.pipelines.exact import dedup_report
+
+    a, b = _sort_budget_pair(
+        monkeypatch, lambda: dedup_report(files_ds, driver_max_rows=0)
+    )
+    assert a.num_rows > 1 and a.equals(b)
+    assert a.equals(dedup_report(files_ds))  # the driver rollup's table too
+
+
+def test_dup_rate_by_lang_sort_dispatch_same_order(ray_session, files_ds, monkeypatch):
+    from europa_ray.pipelines.exact import dup_rate_by_lang
+
+    a, b = _sort_budget_pair(
+        monkeypatch, lambda: dup_rate_by_lang(files_ds, driver_max_rows=0)
+    )
+    assert a.num_rows > 1 and a.equals(b)
+    assert a.equals(dup_rate_by_lang(files_ds))

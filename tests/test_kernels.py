@@ -146,6 +146,24 @@ def test_minhash_trailing_empty_row_keeps_last_shingle():
     assert (sig[0] == whole[0]).all() and (sig[1] == EMPTY_SIG32).all()
 
 
+def test_simhash_trailing_empty_row_keeps_last_shingle():
+    """Regression: the SimHash twin of the MinHash case above — an empty
+    row ending a chunk must not drop the last shingle from the bit sums of
+    the row before it, in one chunk or across chunk edges."""
+    flat = np.array([5, 2**40 + 3], dtype=np.uint64)
+    sig = simhash_signatures(flat, np.array([0, 2, 2]))
+    assert sig.tolist() == [2**40 + 7, 0]
+    rng = np.random.default_rng(3)
+    lens = rng.integers(0, 4, size=60)
+    lens[::7] = 0
+    off = np.concatenate([[0], np.cumsum(lens)])
+    flat = rng.integers(0, 2**63, size=int(off[-1]), dtype=np.uint64)
+    per_row = [simhash_signatures(flat[a:b], np.array([0, b - a]))[0] if b > a else 0
+               for a, b in zip(off[:-1], off[1:])]
+    for chunk in (1, 2, 5, 10_000):
+        assert simhash_signatures(flat, off, max_chunk_rows=chunk).tolist() == per_row
+
+
 def test_minhash_chunking_invariant():
     th, off = tokenize(TEXTS * 20)
     sh, soff = shingles(th, off, 5)

@@ -48,7 +48,7 @@ def test_crossrepo_stats_table_matches_brute_force(pairs):
 @given(
     st.lists(
         st.tuples(
-            st.sampled_from(["en", "de", "fr"]),
+            st.sampled_from(["en", "de", "fr", None]),
             st.integers(0, 5),
             st.integers(1, 4),
         ),
@@ -73,7 +73,8 @@ def test_dup_rate_table_matches_brute_force(rows):
         total[x] += c
         per[(l, x)] += c
     got = _dup_rate_table(shas, langs, cs)
-    langs_u = sorted({l for l, _, _ in rows})
+    present = {l for l, _, _ in rows}
+    langs_u = sorted(present - {None}) + [None] * (None in present)
     assert got["lang"].to_pylist() == langs_u
     for i, l in enumerate(got["lang"].to_pylist()):
         n_docs = sum(c for (ll, _), c in per.items() if ll == l)
