@@ -192,8 +192,9 @@ def containment_candidates(
     Within the driver path, the pairing/dedupe tail fans out to Ray tasks
     when the raw-pair work estimate reaches ``parallel_pair_work_min``
     (0 forces the fan-out — equivalence-tested in tests/test_containment)."""
+    from europa_ray.stages.lsh import dedupe_pair_arrays
     from europa_ray.stages.pairverify import _ranges_gather
-    from europa_ray.stages.ppjoin import _dedupe_ab, _distinct_group_rows
+    from europa_ray.stages.ppjoin import _distinct_group_rows
     from europa_ray.util import default_num_partitions
 
     if num_partitions is None:
@@ -282,7 +283,7 @@ def containment_candidates(
     a, b = a[keep], b[keep]
     if a.shape[0] == 0:
         return ray.data.from_arrow(_PAIR_AB.empty_table())
-    a, b = _dedupe_ab(a, b)  # row-sort + uniq — ORDER-PRESERVING per pair
+    a, b = dedupe_pair_arrays(a, b, canonical=False)  # directed pairs
     return ray.data.from_arrow(pa.table({"a": pa.array(a), "b": pa.array(b)}))
 
 
@@ -331,11 +332,11 @@ def _pair_chunk_shards(g, nd, sz, pb, lo, hi, tau, num_parts):
 def _dedupe_shard_table(*chunks):
     """Ray task: concatenate one shard's per-task pair slices and dedupe
     (cross-shard duplicates are impossible — hash partitioning)."""
-    from europa_ray.stages.ppjoin import _dedupe_ab
+    from europa_ray.stages.lsh import dedupe_pair_arrays
 
     a = np.concatenate([c[0] for c in chunks])
     b = np.concatenate([c[1] for c in chunks])
-    a, b = _dedupe_ab(a, b)
+    a, b = dedupe_pair_arrays(a, b, canonical=False)
     return pa.table({"a": pa.array(a), "b": pa.array(b)})
 
 

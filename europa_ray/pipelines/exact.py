@@ -258,7 +258,8 @@ def dedup_report(
     dedup. Columns: ``(group_col, n_files, n_distinct, dup_rows,
     dup_rate_ppm)`` where counts are WITHIN-group (a file duplicated across
     two repos is distinct in each) and ``dup_rate_ppm`` is integer
-    ``floor(dup_rows * 1e6 / n_files)``.
+    ``floor(dup_rows * 1e6 / n_files)``. Rows are ordered by group; a null
+    group is kept and ordered last, as DuckDB's ``GROUP BY``/``ORDER BY``.
 
     Driver path (raw metadata rows ≤ ``driver_max_rows``): one streamed
     gather + structured numpy sort (a cold hash-shuffle groupby pays tens
@@ -272,7 +273,7 @@ def dedup_report(
         add_sha256, fn_kwargs={"keep_cols": (group_col,)}, batch_format="pyarrow"
     ).select_columns([group_col, "sha256"])
 
-    group_p: list[np.ndarray] = []
+    group_p: list[pa.Array] = []
     sha_p: list[np.ndarray] = []
     total = 0
     over = False
@@ -281,11 +282,11 @@ def dedup_report(
         if total > driver_max_rows:
             over = True
             break
-        group_p.append(np.asarray(b[group_col].to_pylist(), dtype=object))
+        group_p.extend(b[group_col].cast(pa.string()).chunks)
         sha_p.append(hex_to_u256_arrow(b["sha256"]))
 
     if not over:
-        if not group_p:
+        if not sha_p:
             return pa.table(
                 {
                     group_col: pa.array([], pa.string()),
@@ -295,22 +296,21 @@ def dedup_report(
                     "dup_rate_ppm": pa.array([], pa.int64()),
                 }
             )
-        groups = np.concatenate(group_p)
         shas = np.concatenate(sha_p)
-        names, codes = np.unique(groups, return_inverse=True)
-        nf = np.bincount(codes, minlength=names.shape[0]).astype(np.int64)
+        names, codes = _string_codes(pa.chunked_array(group_p, pa.string()))
+        nf = np.bincount(codes, minlength=len(names)).astype(np.int64)
         rec = np.empty(codes.shape[0], dtype=[("c", np.int64), ("s", shas.dtype)])
         rec["c"] = codes
         rec["s"] = shas
         rec = np.unique(rec)
-        ndist = np.bincount(rec["c"], minlength=names.shape[0]).astype(np.int64)
+        ndist = np.bincount(rec["c"], minlength=len(names)).astype(np.int64)
         dup = nf - ndist
         ppm = np.zeros(nf.shape[0], np.int64)
         nz = nf > 0
         ppm[nz] = (dup[nz] * 1_000_000) // nf[nz]
         return pa.table(
             {
-                group_col: pa.array(names, pa.string()),
+                group_col: names,
                 "n_files": pa.array(nf, pa.int64()),
                 "n_distinct": pa.array(ndist, pa.int64()),
                 "dup_rows": pa.array(dup, pa.int64()),
@@ -320,13 +320,16 @@ def dedup_report(
 
     import ray.data.aggregate as agg
 
+    # a null group is keyed as ("", <group_col>_null=True), see _flag_null
+    flag = f"{group_col}_null"
     per_digest = (
-        hashed.groupby([group_col, "sha256"])
+        hashed.map_batches(_flag_null, fn_kwargs={"col": group_col}, batch_format="pyarrow")
+        .groupby([flag, group_col, "sha256"])
         .count()
         .rename_columns({"count()": "n_rows"})
     )
     rolled = (
-        per_digest.groupby(group_col)
+        per_digest.groupby([flag, group_col])
         .aggregate(agg.Sum("n_rows"), agg.Count())
         .rename_columns({"sum(n_rows)": "n_files", "count()": "n_distinct"})
     )
@@ -340,7 +343,7 @@ def dedup_report(
         ppm[nz] = (dup[nz] * 1_000_000) // nf[nz]
         return pa.table(
             {
-                group_col: batch[group_col],
+                group_col: _unflag_null(batch, group_col),
                 "n_files": pa.array(nf, pa.int64()),
                 "n_distinct": pa.array(ndist, pa.int64()),
                 "dup_rows": pa.array(dup, pa.int64()),
@@ -551,34 +554,42 @@ DUP_RATE_SCHEMA = pa.schema(
 )
 
 
-def _lang_codes(langs) -> tuple[pa.Array, np.ndarray]:
-    """Distinct values of a lang column, sorted with null LAST (DuckDB's
-    ``GROUP BY lang ORDER BY lang`` keeps a null group and puts it there),
-    and each row's index into them. ``np.unique`` cannot order None
-    against strings."""
+def _string_codes(values) -> tuple[pa.Array, np.ndarray]:
+    """Distinct values of a string column, sorted with null LAST (DuckDB's
+    ``GROUP BY g ORDER BY g`` keeps a null group and puts it there), and
+    each row's index into them. ``np.unique`` cannot order None against
+    strings."""
     import pyarrow.compute as pc
 
-    if isinstance(langs, pa.ChunkedArray):
-        langs = langs.combine_chunks()
-    if not isinstance(langs, pa.Array):
-        langs = pa.array(langs, pa.string())
-    enc = langs.cast(pa.string()).dictionary_encode(null_encoding="encode")
+    if isinstance(values, pa.ChunkedArray):
+        values = values.combine_chunks()
+    if not isinstance(values, pa.Array):
+        values = pa.array(values, pa.string())
+    enc = values.cast(pa.string()).dictionary_encode(null_encoding="encode")
     order = pc.sort_indices(enc.dictionary, null_placement="at_end").to_numpy()
     rank = np.empty(order.shape[0], np.int64)
     rank[order] = np.arange(order.shape[0])
     return enc.dictionary.take(order), rank[enc.indices.to_numpy()]
 
 
-def _flag_null_lang(b: pa.Table) -> pa.Table:
-    """``lang`` as a key Ray 2.49's sort-based groupby accepts: its partition
-    search cannot order a null string against strings, so a null lang is
-    stored as ``""`` and told apart by the extra key ``lang_null``."""
+def _flag_null(b: pa.Table, col: str) -> pa.Table:
+    """String column ``col`` as a key Ray 2.49's sort-based groupby accepts:
+    its partition search cannot order a null string against strings, so a
+    null is stored as ``""`` and told apart by the extra key ``<col>_null``
+    (:func:`_unflag_null` reverses it)."""
     import pyarrow.compute as pc
 
-    lang = b["lang"]
+    v = b[col]
     return b.set_column(
-        b.column_names.index("lang"), "lang", pc.fill_null(lang, "")
-    ).append_column("lang_null", pc.is_null(lang))
+        b.column_names.index(col), col, pc.fill_null(v, "")
+    ).append_column(f"{col}_null", pc.is_null(v))
+
+
+def _unflag_null(b: pa.Table, col: str):
+    """Column ``col`` of a :func:`_flag_null`-keyed table, nulls restored."""
+    import pyarrow.compute as pc
+
+    return pc.if_else(b[f"{col}_null"], pa.scalar(None, pa.string()), b[col])
 
 
 def _lang_sha_partials(
@@ -604,7 +615,7 @@ def _lang_sha_partials(
     col = col.filter(valid)
     if len(col) == 0:
         return empty
-    lvals, lcode = _lang_codes(batch[lang_col].filter(valid))
+    lvals, lcode = _string_codes(batch[lang_col].filter(valid))
     shas = np.asarray(sha256_hex_arrow(col), dtype="S64")
     scodes_all, scode = np.unique(shas, return_inverse=True)
     key = scode.astype(np.int64) * len(lvals) + lcode
@@ -628,7 +639,7 @@ def _dup_rate_table(
     (may repeat (sha, lang) across batches)."""
     if shas.shape[0] == 0:
         return DUP_RATE_SCHEMA.empty_table()
-    lvals, lcode = _lang_codes(langs)
+    lvals, lcode = _string_codes(langs)
     n_langs = len(lvals)
     scodes_all, scode = np.unique(shas, return_inverse=True)
     key = scode.astype(np.int64) * n_langs + lcode
@@ -656,7 +667,7 @@ def _dup_rate_table(
             "n_dup_docs": pa.array(n_dup_docs, pa.int64()),
             "n_dup_groups": pa.array(n_dup_groups, pa.int64()),
         }
-    )  # _lang_codes → lang-sorted, null last
+    )  # _string_codes → lang-sorted, null last
 
 
 def dup_rate_by_lang(
@@ -707,7 +718,7 @@ def dup_rate_by_lang(
 
     # --- distributed fallback ---
     grouped = (
-        partials.map_batches(_flag_null_lang, batch_format="pyarrow")
+        partials.map_batches(_flag_null, fn_kwargs={"col": "lang"}, batch_format="pyarrow")
         .groupby(["sha", "lang_null", "lang"])
         .sum("c")
         .rename_columns({"sum(c)": "c"})
@@ -783,13 +794,9 @@ def dup_rate_by_lang(
     )
 
     def finish(b: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
         return pa.table(
             {
-                "lang": pc.if_else(
-                    b["lang_null"], pa.scalar(None, pa.string()), b["lang"]
-                ),
+                "lang": _unflag_null(b, "lang"),
                 "n_docs": b["n_docs"].cast(pa.int64()),
                 "n_dup_docs": b["n_dup_docs"].cast(pa.int64()),
                 "n_dup_groups": b["n_dup_groups"].cast(pa.int64()),

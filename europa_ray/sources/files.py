@@ -12,7 +12,9 @@ from __future__ import annotations
 import logging
 import os
 
+import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.fs as pafs
 import ray.data
 
 from europa_ray.util import default_read_blocks
@@ -22,22 +24,47 @@ FILES_COLUMNS = ["repo", "path", "commit", "lang", "content"]
 _log = logging.getLogger(__name__)
 
 
+def _resolve(path: str) -> tuple[pafs.FileSystem, str]:
+    """(filesystem, path on it) of a local path or a URI."""
+    if "://" in path:
+        return pafs.FileSystem.from_uri(path)
+    return pafs.LocalFileSystem(), os.path.abspath(path)
+
+
+def _data_files(path: str) -> tuple[str | list[str], pafs.FileSystem | None]:
+    """``(paths, filesystem)`` for a JSONL/CSV read of ``path``. A directory
+    becomes its files minus sidecars: every file whose path below the
+    directory has a component starting with ``_`` or ``.`` (``_SUCCESS``,
+    ``.crc``, ``_temporary/`` shards) is skipped, as Parquet discovery
+    skips it. Ray 2.49's own listing skips those only when the path ends in
+    ``/``, and then only at the top level. Any other path, or one whose
+    listing fails, is returned as given for the reader to open or report."""
+    try:
+        fs, root = _resolve(path)
+        if fs.get_file_info(root).type != pafs.FileType.Directory:
+            return path, None
+        found = fs.get_file_info(pafs.FileSelector(root, recursive=True))
+    except (OSError, pa.ArrowException):
+        return path, None
+    cut = len(root.rstrip("/")) + 1
+    return sorted(
+        f.path
+        for f in found
+        if f.type == pafs.FileType.File
+        and not any(part.startswith(("_", ".")) for part in f.path[cut:].split("/"))
+    ), fs
+
+
 def input_bytes(paths: str | list[str]) -> int | None:
     """Summed size of the files a reader of ``paths`` reads, listed through
     ``pyarrow.fs``: every file below a directory (sidecar files such as
     ``_SUCCESS`` or ``.crc`` count too; they only nudge an estimate), a
     single file or a list of either. ``None``, with a warning that gives the reason, when the listing
     fails (a missing path, an unknown or unreachable filesystem)."""
-    import pyarrow as pa
-    import pyarrow.fs as pafs
-
     try:
         total = 0
         for path in [paths] if isinstance(paths, str) else paths:
-            if "://" in path:
-                fs, path = pafs.FileSystem.from_uri(path)
-            else:
-                fs, path = pafs.LocalFileSystem(), os.path.abspath(path)
+            fs, path = _resolve(path)
             info = fs.get_file_info(path)
             if info.type == pafs.FileType.File:
                 total += info.size
@@ -71,7 +98,6 @@ def _normalize_files_schema(ds: ray.data.Dataset) -> ray.data.Dataset:
     config error, matching F4's fail-fast validation), ``content`` cast to
     string (CSV/JSON readers may infer null-typed or binary columns on
     sparse shards)."""
-    import pyarrow as pa
 
     def coerce(batch: pa.Table) -> pa.Table:
         missing = [c for c in FILES_COLUMNS if c not in batch.column_names]
@@ -92,10 +118,12 @@ def _normalize_files_schema(ds: ray.data.Dataset) -> ray.data.Dataset:
 
 def read_files_jsonl(path: str) -> ray.data.Dataset:
     """Read a ``files`` corpus from JSON-Lines shards (one object per line,
-    keys = the files columns) — same discovery/parallelism semantics as the
-    Parquet reader; schema normalized to the canonical shape."""
+    keys = the files columns) — same discovery (sidecar files skipped, see
+    ``_data_files``) and parallelism as the Parquet reader; schema
+    normalized to the canonical shape."""
+    paths, fs = _data_files(path)
     ds = ray.data.read_json(
-        path, override_num_blocks=default_read_blocks(input_bytes(path))
+        paths, filesystem=fs, override_num_blocks=default_read_blocks(input_bytes(path))
     )
     return _normalize_files_schema(ds)
 
@@ -104,9 +132,11 @@ def read_files_csv(path: str) -> ray.data.Dataset:
     """Read a ``files`` corpus from CSV shards (header row, the files
     columns). Note CSV cannot represent embedded newlines portably across
     writers — prefer Parquet/JSONL for real corpora; this exists so a user
-    ingesting legacy CSV listings gets the same pipeline surface."""
+    ingesting legacy CSV listings gets the same pipeline surface. A
+    directory is read without its sidecar files (``_data_files``)."""
+    paths, fs = _data_files(path)
     ds = ray.data.read_csv(
-        path, override_num_blocks=default_read_blocks(input_bytes(path))
+        paths, filesystem=fs, override_num_blocks=default_read_blocks(input_bytes(path))
     )
     return _normalize_files_schema(ds)
 
@@ -127,7 +157,6 @@ def _docs_to_files(batch):
     is retained so driver queries can emit doc-level results.
     """
     import numpy as np
-    import pyarrow as pa
 
     doc_id = batch["doc_id"]
     ids = doc_id.to_numpy() if not isinstance(doc_id, pa.ChunkedArray) else doc_id.combine_chunks().to_numpy()

@@ -570,7 +570,7 @@ def embedding_near_dup_pairs(
     ``/root/reference/Api/Client/QdrantRepository.cs:184-206``.
     """
     from europa_ray.config import DEFAULT_CONFIG
-    from europa_ray.stages.lsh import _pair_partitioned
+    from europa_ray.stages.lsh import _pair_partitioned, dedupe_pair_arrays
     from europa_ray.stages.pairverify import verify_pairs
 
     if probe_bits not in (0, 1):
@@ -663,12 +663,7 @@ def embedding_near_dup_pairs(
         ca, cb = paired
     if ca.shape[0] == 0:
         return ray.data.from_arrow(EMB_PAIRS_SCHEMA.empty_table())
-    lo, hi = np.minimum(ca, cb), np.maximum(ca, cb)
-    order = np.lexsort((hi, lo))
-    lo, hi = lo[order], hi[order]
-    keep = np.ones(lo.shape[0], dtype=bool)
-    keep[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
-    lo, hi = lo[keep], hi[keep]
+    lo, hi = dedupe_pair_arrays(ca, cb)
     return verify_pairs(
         embeddings,
         lo,

@@ -40,6 +40,10 @@ CAND_SCHEMA = pa.schema([pa.field("a", pa.int64()), pa.field("b", pa.int64())])
 
 _log = logging.getLogger(__name__)
 
+# pairs compared per step of match_fraction: two 1024 × 128 uint32 gathers
+# (1 MiB, cache-sized) whatever the pair count
+VERIFY_CHUNK = 1024
+
 
 def effective_bands(cfg: EngineConfig) -> int:
     """Bands actually exploded: ``candidates='all'`` collapses banding to ONE
@@ -55,6 +59,19 @@ def _pair_limits(cfg: EngineConfig) -> tuple[int, int]:
     if cfg.candidates == "all":
         return 1 << 62, 1 << 62
     return cfg.max_band_size, cfg.max_pairs_per_band
+
+
+def match_fraction(sig: np.ndarray, ia: np.ndarray, ib: np.ndarray) -> np.ndarray:
+    """Estimated Jaccard of each pair (``sig[ia[i]]``, ``sig[ib[i]]``): the
+    fraction of equal MinHash slots. Bit-identical to
+    ``(sig[ia] == sig[ib]).mean(axis=1)`` (an integer count over the slot
+    count either way), but compared :data:`VERIFY_CHUNK` pairs at a time,
+    so the gathers never hold more than one chunk of rows."""
+    counts = np.empty(ia.shape[0], np.int64)
+    for s in range(0, ia.shape[0], VERIFY_CHUNK):
+        e = s + VERIFY_CHUNK
+        counts[s:e] = np.count_nonzero(sig[ia[s:e]] == sig[ib[s:e]], axis=1)
+    return counts / sig.shape[1]
 
 
 def explode_bands(batch: pa.Table, cfg: EngineConfig = DEFAULT_CONFIG) -> pa.Table:
@@ -115,7 +132,7 @@ def pair_band_group(group: pa.Table, cfg: EngineConfig = DEFAULT_CONFIG) -> pa.T
         ok = ju < n
         iu, ju = iu[ok], ju[ok]
 
-    est = (sig[iu] == sig[ju]).mean(axis=1)
+    est = match_fraction(sig, iu, ju)
     pass_mask = est >= (cfg.jaccard_threshold - cfg.verify_margin)
     iu, ju, est = iu[pass_mask], ju[pass_mask], est[pass_mask]
     if iu.shape[0] > max_pairs:
@@ -131,8 +148,8 @@ def pair_band_group(group: pa.Table, cfg: EngineConfig = DEFAULT_CONFIG) -> pa.T
         {
             "a": pa.array(lo),
             "b": pa.array(hi),
-            "est": pa.array(est.astype(np.float64)),
-            "source": pa.array(["lsh"] * len(lo), pa.string()),
+            "est": pa.array(est),
+            "source": pa.repeat(pa.scalar("lsh"), len(lo)),
         }
     )
 
@@ -237,52 +254,48 @@ def _pair_nodes_group(group: pa.Table, cfg: EngineConfig = DEFAULT_CONFIG) -> pa
 def verify_pairs_by_signature(
     cand, sig_ds, cfg: EngineConfig = DEFAULT_CONFIG, *, gather_max_nodes: int = 2_000_000
 ):
-    """Estimated-Jaccard verification of candidate (a, b) pairs from the
-    signature table (the score-threshold rule, ``QdrantRepository.cs:192``).
+    """Estimated-Jaccard verification of candidate (a, b) pairs (a
+    ``pa.Table`` or pandas DataFrame) from the signature table (the
+    score-threshold rule, ``QdrantRepository.cs:192``). Returns the pairs
+    that pass, in input order, as a :data:`PAIRS_SCHEMA` table.
 
-    Candidate nodes are the duplicate-ish subset (≪ corpus): their packed
-    signatures are gathered once (filter + collect, ≈512B each) and the
-    whole pair list verified in one vectorized comparison. Above
-    ``gather_max_nodes`` callers should use the inline-signature explode
-    (``explode_bands`` + ``pair_band_group``) instead.
+    Candidate nodes are the duplicate-ish subset (≪ corpus). One
+    ``np.unique(..., return_inverse=True)`` maps them onto dense indices;
+    only their packed signatures are gathered (filter + collect, ≈512 B
+    each) into one matrix row per index, and :func:`match_fraction` compares
+    the pairs chunk by chunk, so the driver's temporaries stay a few MiB at
+    any pair count. Above ``gather_max_nodes`` candidate nodes it raises
+    ``ValueError``; callers then use the inline-signature explode
+    (``explode_bands`` + ``pair_band_group``).
     """
-    import pandas as pd
-
-    if isinstance(cand, pd.DataFrame):
-        cand_df = cand
-    else:
-        cand_df = cand.to_pandas()
-    if len(cand_df) == 0:
+    a = np.asarray(cand["a"], np.int64)
+    b = np.asarray(cand["b"], np.int64)
+    if a.shape[0] == 0:
         return PAIRS_SCHEMA.empty_table()
-    a = cand_df["a"].to_numpy()
-    b = cand_df["b"].to_numpy()
-    nodes_needed = np.unique(np.concatenate([a, b]))
-    if nodes_needed.shape[0] > gather_max_nodes:
+    nodes, inv = np.unique(np.concatenate([a, b]), return_inverse=True)
+    if nodes.shape[0] > gather_max_nodes:
         raise ValueError(
-            f"gather-verify needs {nodes_needed.shape[0]} candidate nodes"
+            f"gather-verify needs {nodes.shape[0]} candidate nodes"
             f" > gather_max_nodes={gather_max_nodes}"
         )
 
-    nodes_all, sigs_all = _gather_candidate_sigs(sig_ds, nodes_needed, cfg)
+    got_nodes, got_sigs = _gather_candidate_sigs(sig_ds, nodes, cfg)
     # one signature per node (exact-dup rows share identical signatures)
-    uniq, first = np.unique(nodes_all, return_index=True)
-    sig_mat = sigs_all[first]
-    ia = np.searchsorted(uniq, a)
-    ib = np.searchsorted(uniq, b)
-    ok = (ia < uniq.shape[0]) & (ib < uniq.shape[0])
-    ok &= (uniq[np.clip(ia, 0, uniq.shape[0] - 1)] == a) & (
-        uniq[np.clip(ib, 0, uniq.shape[0] - 1)] == b
-    )
-    est = np.zeros(len(a))
-    if ok.any():
-        est[ok] = (sig_mat[ia[ok]] == sig_mat[ib[ok]]).mean(axis=1)
+    uniq, first = np.unique(got_nodes, return_index=True)
+    sig = np.zeros((nodes.shape[0], cfg.num_perm), np.uint32)
+    sig[np.searchsorted(nodes, uniq)] = got_sigs[first]
+    ia, ib = inv[: a.shape[0]], inv[a.shape[0] :]
+    est = match_fraction(sig, ia, ib)
+    if uniq.shape[0] < nodes.shape[0]:  # a node without a signature matches nothing
+        found = np.isin(nodes, uniq, assume_unique=True)
+        est[~(found[ia] & found[ib])] = 0.0
     keep = est >= (cfg.jaccard_threshold - cfg.verify_margin)
     return pa.table(
         {
-            "a": pa.array(a[keep], pa.int64()),
-            "b": pa.array(b[keep], pa.int64()),
-            "est": pa.array(est[keep], pa.float64()),
-            "source": pa.array(["lsh"] * int(keep.sum()), pa.string()),
+            "a": pa.array(a[keep]),
+            "b": pa.array(b[keep]),
+            "est": pa.array(est[keep]),
+            "source": pa.repeat(pa.scalar("lsh"), int(keep.sum())),
         }
     )
 
@@ -456,12 +469,16 @@ def candidate_pairs(
     (band_key, node) explode — 16 B/row/band, signatures stay OUT of any
     shuffle — is gathered ONCE (≤ ``driver_max_kn_rows`` rows ≈ 1.6 GB),
     then collision detection, per-bucket pairing and pair dedup all happen
-    in vectorized driver NumPy (replacing a groupby(band_key) shuffle that
-    cost more wall time than the whole signature stage's fixed overhead),
+    in vectorized NumPy (replacing a groupby(band_key) shuffle that cost
+    more wall time than the whole signature stage's fixed overhead),
     followed by the signature-gather verification pass (estimated Jaccard
-    ≥ τ). The same gather also yields the exact-duplicate node set free of
-    charge (``return_aux``), sparing the member-assembly stage its own
-    corpus pass.
+    ≥ τ, :func:`verify_pairs_by_signature`, chunked). The one-node-per-row
+    sort that yields the exact-duplicate node set free of charge
+    (``return_aux``, sparing the member-assembly stage its own corpus pass)
+    also gives the distinct nodes: the stream is paired on their dense,
+    order-keeping indices, so the raw band pairs dedup in one sort of a
+    packed int64 key (:func:`dedupe_pair_arrays`) with the same pairs and
+    order as node ids give.
 
     Fallback (any budget exceeded — kn stream, projected pair count, or
     verification gather): the fully distributed inline-signature explode
@@ -474,7 +491,6 @@ def candidate_pairs(
     (schema ``(a, b)``) — the feed for content-level exact verification
     (``cfg.verify_mode='exact'``, pipelines/neardup.py).
     """
-    import pandas as pd
     import ray
     import ray.data
 
@@ -510,14 +526,14 @@ def candidate_pairs(
             break
         bk_parts.append(b["band_key"].to_numpy())
         nd_parts.append(b["node"].to_numpy())
-    empty_schema = PAIRS_SCHEMA if verify else CAND_SCHEMA
     if over:
         return _inline(
             None, "(band_key, node) stream reached %d rows > driver_max_kn_rows=%d",
             total, driver_max_kn_rows,
         )
     if not bk_parts:
-        return _ret(ray.data.from_arrow(empty_schema.empty_table()), np.empty(0, np.int64))
+        empty = (PAIRS_SCHEMA if verify else CAND_SCHEMA).empty_table()
+        return _ret(ray.data.from_arrow(empty), np.empty(0, np.int64))
     bk = np.concatenate(bk_parts)
     nd = np.concatenate(nd_parts)
 
@@ -534,32 +550,28 @@ def candidate_pairs(
         row_nodes = None
     if row_nodes is not None:
         rs = np.sort(row_nodes)
-        dmask = np.zeros(rs.shape[0], dtype=bool)
-        dmask[1:] = rs[1:] == rs[:-1]
-        dup_nodes = np.unique(rs[dmask])
+        newn = np.ones(rs.shape[0], dtype=bool)
+        newn[1:] = rs[1:] != rs[:-1]
+        node_ids = rs[newn]
+        dup_nodes = np.unique(rs[~newn])
     else:
-        uniq_nodes, node_counts = np.unique(nd, return_counts=True)
-        dup_nodes = uniq_nodes[node_counts > b_]
+        node_ids, node_counts = np.unique(nd, return_counts=True)
+        dup_nodes = node_ids[node_counts > b_]
 
-    paired = _pair_partitioned(bk, nd, cfg, driver_max_cand_rows)
+    # pair on dense node indices: they keep node order, so the pairs and
+    # their order are unchanged, and a pair packs into one int64 sort key
+    paired = _pair_partitioned(bk, np.searchsorted(node_ids, nd), cfg, driver_max_cand_rows)
     if isinstance(paired, int):
         return _inline(
             dup_nodes, "%d projected candidate pairs > driver_max_cand_rows=%d",
             paired, driver_max_cand_rows,
         )
-    ca, cb = paired
-    if ca.shape[0] == 0:
-        return _ret(ray.data.from_arrow(empty_schema.empty_table()), dup_nodes)
-    order = np.lexsort((cb, ca))
-    ca, cb = ca[order], cb[order]
-    keep = np.ones(ca.shape[0], dtype=bool)
-    keep[1:] = (ca[1:] != ca[:-1]) | (cb[1:] != cb[:-1])
+    ca, cb = dedupe_pair_arrays(*paired)
+    cand = pa.table({"a": pa.array(node_ids[ca]), "b": pa.array(node_ids[cb])})
     if not verify:
-        cand = pa.table({"a": pa.array(ca[keep]), "b": pa.array(cb[keep])})
         return _ret(ray.data.from_arrow(cand), dup_nodes)
-    cand_df = pd.DataFrame({"a": ca[keep], "b": cb[keep]})
     try:
-        verified = verify_pairs_by_signature(cand_df, sig_ds, cfg)
+        verified = verify_pairs_by_signature(cand, sig_ds, cfg)
     except ValueError as exc:
         return _inline(dup_nodes, "%s", exc)
     return _ret(ray.data.from_arrow(verified), dup_nodes)
@@ -658,6 +670,38 @@ def semi_join_keys(
     return ds.join(
         keys_ds, join_type="inner", num_partitions=num_partitions, on=(key_col,)
     )
+
+
+def dedupe_pair_arrays(
+    a: np.ndarray, b: np.ndarray, *, canonical: bool = True
+) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct (a, b) pairs of two int64 id arrays, sorted by (a, b):
+    the table ``np.lexsort((b, a))`` plus an adjacent-duplicate drop gives,
+    from ONE sort of the packed int64 key ``a' * N + b'``. ``canonical``
+    first orders each pair as (min, max); directed pairs pass ``False``.
+
+    Ids whose range spans N < 2^31.5 values (dense indices, row ids) pack by
+    their offset from the smallest id. Wider ids are first replaced by their
+    rank among the distinct ids (one ``np.unique``, which keeps their order);
+    a key needs N² < 2^63, so more than ~3·10⁹ distinct ids raise
+    ``ValueError``."""
+    a = np.asarray(a, np.int64)
+    b = np.asarray(b, np.int64)
+    if canonical:
+        a, b = np.minimum(a, b), np.maximum(a, b)
+    if a.shape[0] == 0:
+        return a, b
+    lo = min(int(a.min()), int(b.min()))
+    n = max(int(a.max()), int(b.max())) - lo + 1
+    if n * n < 1 << 63:
+        x, y = np.divmod(np.unique((a - lo) * n + (b - lo)), n)
+        return x + lo, y + lo
+    ids, inv = np.unique(np.concatenate([a, b]), return_inverse=True)
+    n = ids.shape[0]
+    if n * n >= 1 << 63:
+        raise ValueError(f"{n} distinct ids: an (a, b) pair no longer packs into int64")
+    x, y = np.divmod(np.unique(inv[: a.shape[0]] * n + inv[a.shape[0] :]), n)
+    return ids[x], ids[y]
 
 
 def dedupe_pairs(pairs_ds, *, source: str | None, driver_max_rows: int = 2_000_000):

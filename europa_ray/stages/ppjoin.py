@@ -70,6 +70,7 @@ import numpy as np
 import pyarrow as pa
 
 from europa_ray.config import DEFAULT_CONFIG, EngineConfig
+from europa_ray.stages.lsh import dedupe_pair_arrays
 
 PAIR_AB_SCHEMA = pa.schema([pa.field("a", pa.int64()), pa.field("b", pa.int64())])
 
@@ -407,14 +408,6 @@ def _grouped_all_pairs(
     return np.concatenate(out_a), np.concatenate(out_b)
 
 
-def _dedupe_ab(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    order = np.lexsort((b, a))
-    a, b = a[order], b[order]
-    keep = np.ones(a.shape[0], dtype=bool)
-    keep[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
-    return a[keep], b[keep]
-
-
 _SET_HASH_SEED2 = np.uint64(0xA5A5A5A5DEADBEEF)
 
 
@@ -447,8 +440,9 @@ def _distinct_group_rows(gid: np.ndarray, nd: np.ndarray) -> np.ndarray:
     SET. Boilerplate cliques make many prefix grams share the identical
     member set (k docs sharing a header put the same ~(1−τ)·|header| grams
     in every prefix); pairing each such group repeats the same k²/2 pairs
-    per gram, only for ``_dedupe_ab`` to discard the copies — on a 3 000-doc
-    clique that is ~85× the useful work (hundreds of millions of rows).
+    per gram, only for ``dedupe_pair_arrays`` to discard the copies — on a
+    3 000-doc clique that is ~85× the useful work (hundreds of millions of
+    rows).
     Two groups are equal iff their sorted node arrays match; a 128-bit set
     hash (``_set_hash_pair``) identifies them without materializing
     per-group tuples."""
@@ -580,7 +574,7 @@ def prefix_candidate_pairs(
         a, b = a[keep], b[keep]
     if a.shape[0] == 0:
         return ray.data.from_arrow(PAIR_AB_SCHEMA.empty_table())
-    a, b = _dedupe_ab(a, b)
+    a, b = dedupe_pair_arrays(a, b)
     return ray.data.from_arrow(pa.table({"a": pa.array(a), "b": pa.array(b)}))
 
 

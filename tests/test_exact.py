@@ -314,6 +314,32 @@ def test_dup_rate_by_lang_keeps_null_lang_last(ray_session, budget):
     assert df.n_dup_groups.tolist() == [1, 1, 2]
 
 
+@pytest.mark.parametrize("budget", [100_000_000, 0])
+def test_dedup_report_keeps_null_repo_last(ray_session, budget):
+    """A null ``repo`` is its own group, ordered last and apart from the
+    empty-string repo (DuckDB's GROUP BY repo ORDER BY repo), on the driver
+    rollup and the distributed one."""
+    import pyarrow as pa
+    import ray.data
+
+    from europa_ray.pipelines.exact import dedup_report
+
+    t = pa.table(
+        {
+            "repo": pa.array(["r1", None, "r1", None, "", None], pa.string()),
+            "path": pa.array([f"{i}.py" for i in range(6)]),
+            "content": pa.array(["x", "y", "x", "y", "y", "z"]),
+        }
+    )
+    got = dedup_report(ray.data.from_arrow(t).repartition(3), driver_max_rows=budget)
+    tbl = collect(got) if isinstance(got, ray.data.Dataset) else got
+    assert tbl["repo"].to_pylist() == ["", "r1", None]
+    assert tbl["n_files"].to_pylist() == [1, 2, 3]
+    assert tbl["n_distinct"].to_pylist() == [1, 1, 2]
+    assert tbl["dup_rows"].to_pylist() == [0, 1, 1]
+    assert tbl["dup_rate_ppm"].to_pylist() == [0, 500_000, 333_333]
+
+
 def _sort_budget_pair(monkeypatch, run):
     """``run()``'s table with the driver sort, then with ``Dataset.sort``."""
     from europa_ray import util

@@ -86,3 +86,44 @@ def test_missing_column_fails_fast(ray_session):
     )
     with pytest.raises(Exception, match="missing required columns"):
         _normalize_files_schema(ds).materialize()
+
+
+def test_jsonl_csv_skip_sidecar_files(ray_session, tmp_path):
+    """A corpus directory named without a trailing slash is read without
+    its ``_``/``.``-prefixed sidecars (``_SUCCESS``, ``.crc``, a ``_tmp/``
+    shard, a hidden file in a subdirectory), as Parquet discovery skips
+    them; data files in subdirectories are still read."""
+    import json
+
+    import pyarrow.csv as pacsv
+
+    from europa_ray.sources.files import FILES_COLUMNS, read_files_csv, read_files_jsonl
+
+    def rows(tag, n):
+        return [
+            {"repo": tag, "path": f"{tag}{i}.py", "commit": "c", "lang": "py", "content": f"x{i}"}
+            for i in range(n)
+        ]
+
+    def write_jsonl(path, recs):
+        path.write_text("".join(json.dumps(r) + "\n" for r in recs))
+
+    def write_csv(path, recs):
+        pacsv.write_csv(pa.Table.from_pylist(recs), str(path))
+
+    for ext, write, read in (
+        ("jsonl", write_jsonl, read_files_jsonl),
+        ("csv", write_csv, read_files_csv),
+    ):
+        d = tmp_path / ext
+        (d / "sub").mkdir(parents=True)
+        (d / "_tmp").mkdir()
+        write(d / f"a.{ext}", rows("a", 3))
+        write(d / "sub" / f"c.{ext}", rows("c", 2))
+        write(d / "_tmp" / f"b.{ext}", rows("tmp", 4))
+        write(d / "sub" / f".part.{ext}", rows("hidden", 5))
+        write(d / f".a.{ext}.crc", rows("crc", 1))
+        (d / "_SUCCESS").write_text("")
+        got = read(str(d)).to_pandas()
+        assert list(got.columns) == FILES_COLUMNS
+        assert sorted(got.repo) == ["a"] * 3 + ["c"] * 2, ext
