@@ -5,11 +5,19 @@ Engine shape (north rule)::
     read_parquet → filters → signature tasks (sha256 + tokenize + 5-gram
     shingles + MinHash-128 over the shingle stream, content dropped; only
     a set-weighted fuzzy kernel sorts the stream into a set)
-        → band explode (×16) → groupby(band_key) over colliding keys
-        → in-band pairing with inline Jaccard verify + hot-band windowing
-        → pair dedup (groupby(a,b))
-        → connected components (driver union-find / distributed min-label)
-        → member assembly + singleton suppression → sorted clusters
+        → band-key explode (×16, one raw task per signature block)
+        → dense node index (sorted distinct nodes) + exact-dup node set
+        → per-bucket pairing over band-key partitions + hot-band windowing,
+          each partition shipping distinct packed pair keys
+        → one np.unique merge → gather-verify (estimated Jaccard ≥ τ)
+        → connected components on the same dense indices (driver
+          union-find / distributed hash-to-min above the budget)
+        → member tags (one raw task per signature block) + singleton
+          suppression → sorted clusters
+
+Above a driver budget each step falls back to its distributed form: the
+``groupby(band_key)`` shuffle with inline verify (``stages/lsh.py``), the
+hash-to-min union-find and the join-based member assembly.
 
 Cluster semantics vs the reference: one node per distinct content
 (exact-dup coalescing before similarity, ``SimilarImageFinder.cs:161-165``);
@@ -35,9 +43,19 @@ from europa_ray.config import DEFAULT_CONFIG, EngineConfig
 from europa_ray.stages.filters import apply_filters
 from europa_ray.stages.lsh import PAIRS_SCHEMA, candidate_pairs
 from europa_ray.stages.signatures import signatures
-from europa_ray.state.unionfind import components
-from europa_ray.util import sort_result
-
+from europa_ray.state.unionfind import (
+    component_label_arrays,
+    components_dense,
+    connected_components_distributed,
+    edge_arrays,
+)
+from europa_ray.util import (
+    block_tasks,
+    hex16_arrow,
+    sort_block_results,
+    sort_result,
+    sorted_member,
+)
 
 
 def near_dup_pipeline(
@@ -107,9 +125,16 @@ def near_dup_pipeline(
         pairs = progress.count_stage(pairs, "verified_pairs")
     pairs = pairs.materialize()  # verified duplicate pairs: ≪ corpus
 
-    labels = components(pairs, driver_max_edges=cfg.cc_driver_max_edges)
-    if not isinstance(labels, dict):
-        labels = labels.materialize()  # (node, cluster) Dataset, ≪ corpus
+    if pairs.count() > cfg.cc_driver_max_edges:
+        # (node, cluster) Dataset, ≪ corpus
+        labels = connected_components_distributed(pairs).materialize()
+    elif "dense_pairs" in aux and extra_pairs is None:
+        # the verified LSH pairs on candidate_pairs' dense node index
+        node_ids, (ia, ib) = aux["node_ids"], aux["dense_pairs"]
+        node, label = components_dense(node_ids.shape[0], ia, ib)
+        labels = node_ids[node], node_ids[label]
+    else:  # exact verification, extra passes, or a budget fallback ran
+        labels = component_label_arrays(pairs)
 
     if manifest is not None:
         from europa_ray.state.manifest import fingerprint_of
@@ -118,7 +143,7 @@ def near_dup_pipeline(
         manifest.record(
             "signatures", fp, {"signature_rows": float(sigs.count())}
         )
-        n_labeled = len(labels) if isinstance(labels, dict) else labels.count()
+        n_labeled = labels.count() if isinstance(labels, ray.data.Dataset) else len(labels[0])
         manifest.record(
             "pairs",
             fp,
@@ -245,11 +270,8 @@ def neighbor_sets(
         )
 
     if n <= driver_max_rows:
-        a_parts, b_parts = [], []
-        for bt in pairs.iter_batches(batch_format="pyarrow", batch_size=1 << 20):
-            a_parts.append(bt["a"].to_numpy())
-            b_parts.append(bt["b"].to_numpy())
-        if not a_parts:
+        av, bv = edge_arrays(pairs)
+        if av.shape[0] == 0:
             schema = pa.schema(
                 [
                     pa.field("node", pa.int64()),
@@ -258,8 +280,6 @@ def neighbor_sets(
                 ]
             )
             return ray.data.from_arrow(schema.empty_table())
-        av = np.concatenate(a_parts)
-        bv = np.concatenate(b_parts)
         node = np.concatenate([av, bv])
         nbr = np.concatenate([bv, av])
         order = np.lexsort((nbr, node))
@@ -314,35 +334,31 @@ def assemble_members(
       group (cluster = own node).
     - else singleton → dropped (A7, ``SimilarImageFinder.cs:119``).
 
-    ``labels`` is either {node → cluster} (driver union-find path —
-    broadcast as sorted arrays) or a ``(node, cluster)`` Dataset (the
+    ``labels`` is either a ``(node, cluster)`` pair of int64 arrays sorted
+    by node (the dense union-find of the one-shot pipeline), a
+    ``{node: cluster}`` dict (what ``components`` returns on its driver
+    path; turned into those arrays), or a ``(node, cluster)`` Dataset (the
     distributed CC path — labels never land on the driver; assembly is a
     hash join, equivalence-tested by forcing ``cc_driver_max_edges=0``).
+    Driver labels are broadcast once to one raw tagging task per signature
+    block.
 
     ``dup_nodes``: optional precomputed sorted array of exact-duplicate
     nodes (a free by-product of the candidate-pair gather) — passing it
     spares this stage its own corpus scan.
     """
-    if not isinstance(labels, dict):
+    if isinstance(labels, dict):
+        node = np.fromiter(labels.keys(), np.int64, len(labels))
+        order = np.argsort(node)
+        labels = node[order], np.fromiter(labels.values(), np.int64, len(labels))[order]
+    elif not isinstance(labels, tuple):
         labels = labels.materialize()
-        if labels.count() == 0:
-            labels = {}  # degenerate: broadcast path handles empty cheaply
-        else:
+        if labels.count() > 0:
             return _assemble_members_join(
                 sigs, labels, id_cols=id_cols, dup_nodes=dup_nodes,
                 num_partitions=num_partitions,
             )
-    # labels as parallel sorted arrays → vectorized searchsorted inside the
-    # tagging map (no Python per-row dict lookups)
-    if labels:
-        lab_keys = np.fromiter(labels.keys(), dtype=np.int64, count=len(labels))
-        lab_vals = np.fromiter(labels.values(), dtype=np.int64, count=len(labels))
-        order = np.argsort(lab_keys)
-        lab_keys, lab_vals = lab_keys[order], lab_vals[order]
-    else:
-        lab_keys = np.empty(0, np.int64)
-        lab_vals = np.empty(0, np.int64)
-    labels_ref = ray.put((lab_keys, lab_vals))
+        labels = (np.empty(0, np.int64), np.empty(0, np.int64))
 
     # exact-dup sha counts (aggregate over nodes: small, duplicate-only)
     from europa_ray.stages.lsh import duplicated_keys
@@ -366,40 +382,50 @@ def assemble_members(
             for b in counts.iter_batches(batch_format="pyarrow", batch_size=1 << 20)
         ]
         dup_arr = np.sort(np.concatenate(parts)) if parts else np.empty(0, np.int64)
-    dup_ref = ray.put(dup_arr)
 
-    def _member_of(sorted_keys: np.ndarray, vals: np.ndarray) -> np.ndarray:
-        if sorted_keys.shape[0] == 0:
-            return np.zeros(vals.shape[0], dtype=bool)
-        idx = np.searchsorted(sorted_keys, vals)
-        idx[idx >= sorted_keys.shape[0]] = 0
-        return sorted_keys[idx] == vals
+    sigs = sigs.materialize()
+    got = sigs.schema()
+    if got is None or "node" not in got.base_schema.names:
+        # every block came out of a map over zero rows without columns
+        return ray.data.from_arrow(pa.table({}))
+    outs = block_tasks(
+        sigs, _tag_members, *labels, dup_arr, id_cols,
+        got.base_schema.empty_table(), num_returns=2,
+    )
+    return sort_block_results(outs, ["cluster_id", *id_cols])
 
-    def tag(batch: pa.Table) -> pa.Table:
-        lk, lv = ray.get(labels_ref)
-        dup = ray.get(dup_ref)
-        nodes = batch["node"].to_numpy()
-        in_lab = _member_of(lk, nodes)
-        in_dup = _member_of(dup, nodes) & ~in_lab
-        keep = in_lab | in_dup
-        cluster = nodes.copy()
-        if lk.shape[0]:
-            lab_idx = np.clip(np.searchsorted(lk, nodes), 0, lk.shape[0] - 1)
-            cluster[in_lab] = lv[lab_idx[in_lab]]
-        source = np.where(in_lab, "lsh", "exact")
-        mask = pa.array(keep)
-        sel = batch.select(
-            [c for c in (*id_cols, "sha256", "node") if c in batch.column_names]
-        ).filter(mask)
-        kept = cluster[keep].view(np.uint64)
-        sel = sel.append_column(
-            "cluster_id", pa.array([f"{c:016x}" for c in kept], pa.string())
-        )
-        sel = sel.append_column("source", pa.array(source[keep].tolist(), pa.string()))
-        return sel
 
-    members = sigs.map_batches(tag, batch_format="pyarrow")
-    return sort_result(members, ["cluster_id", *id_cols])
+def _tag_members(
+    block: pa.Table, lab_nodes: np.ndarray, lab_vals: np.ndarray,
+    dup: np.ndarray, id_cols: tuple[str, ...], empty: pa.Table,
+) -> tuple[pa.Table, int]:
+    """One signature block's member rows, tagged, and their byte size.
+    Every block gives the tagged schema: a zero-row join block without
+    columns is read as ``empty`` (the signature table's schema)."""
+    if "node" not in block.column_names:
+        block = empty
+    nodes = block["node"].to_numpy()
+    in_lab = sorted_member(lab_nodes, nodes)
+    keep = in_lab | sorted_member(dup, nodes)
+    kept = nodes[keep]
+    lab = in_lab[keep]
+    cluster = kept.copy()
+    cluster[lab] = lab_vals[np.searchsorted(lab_nodes, kept[lab])]
+    sel = block.select(
+        [c for c in (*id_cols, "sha256", "node") if c in block.column_names]
+    ).filter(pa.array(keep))
+    out = _append_tags(sel, cluster, lab)
+    return out, out.nbytes
+
+
+def _append_tags(sel: pa.Table, cluster: np.ndarray, in_lab: np.ndarray) -> pa.Table:
+    """``cluster_id`` (16-hex of the cluster node) and ``source`` columns."""
+    import pyarrow.compute as pc
+
+    source = pc.if_else(pa.array(in_lab, pa.bool_()), "lsh", "exact")
+    return sel.append_column("cluster_id", hex16_arrow(cluster)).append_column(
+        "source", source
+    )
 
 
 def _assemble_members_join(
@@ -481,14 +507,8 @@ def _assemble_members_join(
         keep = in_lab | in_dup
         clv = cl.fill_null(0).to_numpy(zero_copy_only=False).astype(np.int64)
         cluster = np.where(in_lab, clv, nodes)
-        source = np.where(in_lab, "lsh", "exact")
         sel = batch.select(sel_cols).filter(pa.array(keep))
-        kept = cluster[keep].view(np.uint64)
-        sel = sel.append_column(
-            "cluster_id", pa.array([f"{c:016x}" for c in kept], pa.string())
-        )
-        sel = sel.append_column("source", pa.array(source[keep].tolist(), pa.string()))
-        return sel
+        return _append_tags(sel, cluster[keep], in_lab[keep])
 
     members = joined.map_batches(tag, batch_format="pyarrow")
     return sort_result(members, ["cluster_id", *id_cols])

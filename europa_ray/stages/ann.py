@@ -570,7 +570,7 @@ def embedding_near_dup_pairs(
     ``/root/reference/Api/Client/QdrantRepository.cs:184-206``.
     """
     from europa_ray.config import DEFAULT_CONFIG
-    from europa_ray.stages.lsh import _pair_partitioned, dedupe_pair_arrays
+    from europa_ray.stages.lsh import _pair_partitioned, unpack_pair_keys
     from europa_ray.stages.pairverify import verify_pairs
 
     if probe_bits not in (0, 1):
@@ -632,42 +632,41 @@ def embedding_near_dup_pairs(
     if not bk_parts:
         return ray.data.from_arrow(EMB_PAIRS_SCHEMA.empty_table())
     bk = np.concatenate(bk_parts)
-    nd = np.concatenate(nd_parts)
+    # pair on the ids' ranks: they keep id order, so a pair packs into one
+    # key (lsh._bucket_pair_keys) and the merged keys come out (a, b)-sorted
+    ids, nd = np.unique(np.concatenate(nd_parts), return_inverse=True)
+    n = ids.shape[0]
     if probe_bits:
         from europa_ray.util import splitmix64
 
         bk_u = bk.view(np.uint64)
-        ca_parts: list[np.ndarray] = []
-        cb_parts: list[np.ndarray] = []
+        key_parts: list[np.ndarray] = []
         n_cand = 0
         for mask in _probe_masks(n_bits, probe_bits):
             mixed = splitmix64(bk_u & mask).view(np.int64)
-            paired = _pair_partitioned(mixed, nd, cfg, driver_max_cand_rows)
-            n_cand += paired if isinstance(paired, int) else paired[0].shape[0]
-            if isinstance(paired, int) or n_cand > driver_max_cand_rows:
+            keys = _pair_partitioned(mixed, nd, n, cfg, driver_max_cand_rows)
+            n_cand += keys if isinstance(keys, int) else keys.shape[0]
+            if isinstance(keys, int) or n_cand > driver_max_cand_rows:
                 return _inline(
                     "%d candidate pairs over the probe passes > driver_max_cand_rows=%d",
                     n_cand, driver_max_cand_rows,
                 )
-            ca_parts.append(paired[0])
-            cb_parts.append(paired[1])
-        ca = np.concatenate(ca_parts) if ca_parts else np.empty(0, np.int64)
-        cb = np.concatenate(cb_parts) if cb_parts else np.empty(0, np.int64)
+            key_parts.append(keys)
+        keys = np.unique(np.concatenate(key_parts))
     else:
-        paired = _pair_partitioned(bk, nd, cfg, driver_max_cand_rows)
-        if isinstance(paired, int):
+        keys = _pair_partitioned(bk, nd, n, cfg, driver_max_cand_rows)
+        if isinstance(keys, int):
             return _inline(
                 "%d projected candidate pairs > driver_max_cand_rows=%d",
-                paired, driver_max_cand_rows,
+                keys, driver_max_cand_rows,
             )
-        ca, cb = paired
-    if ca.shape[0] == 0:
+    if keys.shape[0] == 0:
         return ray.data.from_arrow(EMB_PAIRS_SCHEMA.empty_table())
-    lo, hi = dedupe_pair_arrays(ca, cb)
+    ia, ib = unpack_pair_keys(keys, n)
     return verify_pairs(
         embeddings,
-        lo,
-        hi,
+        ids[ia],
+        ids[ib],
         _emb_payload,
         _emb_cosine_metric(threshold),
         EMB_PAIRS_SCHEMA,

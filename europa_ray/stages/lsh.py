@@ -1,12 +1,17 @@
-"""LSH banding, collision detection, and in-band candidate pairing.
+"""LSH banding, collision detection, in-band candidate pairing and
+signature verification.
 
 The analog of Europa's Qdrant ANN retrieval (``/root/reference/Api/Client/
 QdrantRepository.cs:184-206``): instead of an external vector index with a
 bulk-load/poll-green barrier (``SimilarImageFinder.cs:69-82``), candidates
-come from a ``groupby(band_key)`` shuffle over exploded (band_key, node, sig)
-rows. Verification (the score-threshold rule, ``QdrantRepository.cs:192``)
-happens INSIDE the pairing function from the full 128-slot signatures carried
-through the explode — fully streaming, no driver-side signature store.
+come from band buckets of the MinHash signatures.
+
+Default path (:func:`candidate_pairs`): raw tasks explode (band_key, node)
+per signature block; pairing, dedup and verification (the score-threshold
+rule, ``QdrantRepository.cs:192``) run on dense indices into the sorted
+distinct nodes, which the union-find reuses. Above a driver budget: a
+``groupby(band_key)`` shuffle with verification INSIDE the pairing function
+from the signatures carried through the explode — no driver-side state.
 
 Skew (north rule): bands larger than ``max_band_size`` (boilerplate/license
 clusters) switch from all-pairs to sorted window pairing — a connected
@@ -25,7 +30,12 @@ import pyarrow as pa
 from europa_ray.config import DEFAULT_CONFIG, EngineConfig
 from europa_ray.functions.sig import band_keys
 from europa_ray.stages.signatures import minhash_matrix, pack_sigs
-from europa_ray.util import cluster_cpus, default_num_partitions
+from europa_ray.util import (
+    block_tasks,
+    cluster_cpus,
+    default_num_partitions,
+    sorted_member,
+)
 
 PAIRS_SCHEMA = pa.schema(
     [
@@ -43,6 +53,8 @@ _log = logging.getLogger(__name__)
 # pairs compared per step of match_fraction: two 1024 × 128 uint32 gathers
 # (1 MiB, cache-sized) whatever the pair count
 VERIFY_CHUNK = 1024
+# times a word of byte counts, puts their sum (< 256) in the top byte
+_BYTE_ONES = np.uint64(0x0101010101010101)
 
 
 def effective_bands(cfg: EngineConfig) -> int:
@@ -66,12 +78,23 @@ def match_fraction(sig: np.ndarray, ia: np.ndarray, ib: np.ndarray) -> np.ndarra
     fraction of equal MinHash slots. Bit-identical to
     ``(sig[ia] == sig[ib]).mean(axis=1)`` (an integer count over the slot
     count either way), but compared :data:`VERIFY_CHUNK` pairs at a time,
-    so the gathers never hold more than one chunk of rows."""
-    counts = np.empty(ia.shape[0], np.int64)
-    for s in range(0, ia.shape[0], VERIFY_CHUNK):
+    so the gathers never hold more than one chunk of rows.
+
+    With a slot count that is a multiple of 8 and below 256 (the default
+    128), the ``==`` mask is summed as uint64 words of eight 0/1 bytes and
+    the byte lanes added with one multiply (faster than ``count_nonzero``)."""
+    m, p = ia.shape[0], sig.shape[1]
+    counts = np.empty(m, np.int64)
+    lanes = p % 8 == 0 and p < 256
+    for s in range(0, m, VERIFY_CHUNK):
         e = s + VERIFY_CHUNK
-        counts[s:e] = np.count_nonzero(sig[ia[s:e]] == sig[ib[s:e]], axis=1)
-    return counts / sig.shape[1]
+        eq = sig[ia[s:e]] == sig[ib[s:e]]
+        if lanes:
+            words = eq.view(np.uint64).sum(axis=1, dtype=np.uint64)
+            counts[s:e] = (words * _BYTE_ONES) >> np.uint64(56)
+        else:
+            counts[s:e] = np.count_nonzero(eq, axis=1)
+    return counts / p
 
 
 def explode_bands(batch: pa.Table, cfg: EngineConfig = DEFAULT_CONFIG) -> pa.Table:
@@ -194,29 +217,30 @@ def duplicated_keys(
     return np.unique(flat[dup_mask])
 
 
+def band_key_nodes(block: pa.Table, cfg: EngineConfig = DEFAULT_CONFIG):
+    """One signature block → (band keys, row nodes): the row-major
+    ``(rows × effective_bands)`` band keys, row i's bands contiguous, and
+    the block's ``node`` column, one entry per row."""
+    if block.num_rows == 0:  # zero-row join blocks may carry no columns
+        return np.empty(0, np.int64), np.empty(0, np.int64)
+    node = block["node"].to_numpy().astype(np.int64, copy=False)
+    if cfg.candidates == "all":
+        # one global band: membership only — no MinHash needed at all
+        return np.zeros(node.shape[0], np.int64), node
+    sig32 = minhash_matrix(block, cfg.num_perm)
+    bk = band_keys(sig32.astype(np.uint64), cfg.lsh_bands, cfg.lsh_rows).view(np.int64)
+    return bk.ravel(), node
+
+
 def explode_band_key_nodes(batch: pa.Table, cfg: EngineConfig = DEFAULT_CONFIG) -> pa.Table:
     """(band_key, node) explode — 16 bytes/row/band instead of carrying the
     512-byte signature through the shuffle (candidate generation only needs
     bucket membership; verification re-reads signatures for candidates)."""
-    if batch.num_rows == 0:
-        return pa.table(
-            {"band_key": pa.array([], pa.int64()), "node": pa.array([], pa.int64())}
-        )
-    node = batch["node"].to_numpy()
-    if cfg.candidates == "all":
-        # one global band: membership only — no MinHash needed at all
-        return pa.table(
-            {
-                "band_key": pa.array(np.zeros(node.shape[0], np.int64)),
-                "node": pa.array(node),
-            }
-        )
-    sig32 = minhash_matrix(batch, cfg.num_perm)
-    bk = band_keys(sig32.astype(np.uint64), cfg.lsh_bands, cfg.lsh_rows).view(np.int64)
+    bk, node = band_key_nodes(batch, cfg)
     return pa.table(
         {
-            "band_key": pa.array(bk.ravel()),
-            "node": pa.array(np.repeat(node, cfg.lsh_bands)),
+            "band_key": pa.array(bk, pa.int64()),
+            "node": pa.array(np.repeat(node, effective_bands(cfg)), pa.int64()),
         }
     )
 
@@ -259,60 +283,80 @@ def verify_pairs_by_signature(
     score-threshold rule, ``QdrantRepository.cs:192``). Returns the pairs
     that pass, in input order, as a :data:`PAIRS_SCHEMA` table.
 
-    Candidate nodes are the duplicate-ish subset (≪ corpus). One
-    ``np.unique(..., return_inverse=True)`` maps them onto dense indices;
-    only their packed signatures are gathered (filter + collect, ≈512 B
-    each) into one matrix row per index, and :func:`match_fraction` compares
-    the pairs chunk by chunk, so the driver's temporaries stay a few MiB at
-    any pair count. Above ``gather_max_nodes`` candidate nodes it raises
-    ``ValueError``; callers then use the inline-signature explode
-    (``explode_bands`` + ``pair_band_group``).
+    A wrapper for callers that hold node ids: one
+    ``np.unique(..., return_inverse=True)`` maps them onto dense indices
+    for :func:`_verify_indexed`, which ``candidate_pairs`` calls directly
+    with the indices it paired on. Only the candidate nodes' packed
+    signatures are gathered (≈512 B each), and :func:`match_fraction`
+    compares the pairs chunk by chunk, so the driver's temporaries stay a
+    few MiB at any pair count. Above ``gather_max_nodes`` candidate nodes
+    it raises ``ValueError``; callers then use the inline-signature
+    explode (``explode_bands`` + ``pair_band_group``).
     """
     a = np.asarray(cand["a"], np.int64)
     b = np.asarray(cand["b"], np.int64)
     if a.shape[0] == 0:
         return PAIRS_SCHEMA.empty_table()
     nodes, inv = np.unique(np.concatenate([a, b]), return_inverse=True)
+    keep, est = _verify_indexed(
+        sig_ds, nodes, inv[: a.shape[0]], inv[a.shape[0] :], cfg,
+        gather_max_nodes=gather_max_nodes,
+    )
+    return _pairs_table(a[keep], b[keep], est[keep])
+
+
+def _pairs_table(a: np.ndarray, b: np.ndarray, est: np.ndarray) -> pa.Table:
+    return pa.table(
+        {
+            "a": pa.array(a, pa.int64()),
+            "b": pa.array(b, pa.int64()),
+            "est": pa.array(est, pa.float64()),
+            "source": pa.repeat(pa.scalar("lsh"), a.shape[0]),
+        }
+    )
+
+
+def _verify_indexed(
+    sig_ds, node_ids: np.ndarray, ia: np.ndarray, ib: np.ndarray,
+    cfg: EngineConfig, *, gather_max_nodes: int = 2_000_000,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Verification of the pairs ``(node_ids[ia], node_ids[ib])`` given on
+    indices into the SORTED distinct ``node_ids``: returns ``(keep, est)``
+    over the input pairs. The nodes some pair uses are marked in one
+    scatter (no sort), only their signatures are gathered, and their rank
+    among the marked nodes is the row of the signature matrix. Raises
+    ``ValueError`` above ``gather_max_nodes`` marked nodes."""
+    used = np.zeros(node_ids.shape[0], bool)
+    used[ia] = True
+    used[ib] = True
+    nodes = node_ids[used]
     if nodes.shape[0] > gather_max_nodes:
         raise ValueError(
             f"gather-verify needs {nodes.shape[0]} candidate nodes"
             f" > gather_max_nodes={gather_max_nodes}"
         )
+    rank = np.cumsum(used) - 1
+    ia, ib = rank[ia], rank[ib]
 
     got_nodes, got_sigs = _gather_candidate_sigs(sig_ds, nodes, cfg)
     # one signature per node (exact-dup rows share identical signatures)
     uniq, first = np.unique(got_nodes, return_index=True)
     sig = np.zeros((nodes.shape[0], cfg.num_perm), np.uint32)
     sig[np.searchsorted(nodes, uniq)] = got_sigs[first]
-    ia, ib = inv[: a.shape[0]], inv[a.shape[0] :]
     est = match_fraction(sig, ia, ib)
     if uniq.shape[0] < nodes.shape[0]:  # a node without a signature matches nothing
         found = np.isin(nodes, uniq, assume_unique=True)
         est[~(found[ia] & found[ib])] = 0.0
-    keep = est >= (cfg.jaccard_threshold - cfg.verify_margin)
-    return pa.table(
-        {
-            "a": pa.array(a[keep]),
-            "b": pa.array(b[keep]),
-            "est": pa.array(est[keep]),
-            "source": pa.repeat(pa.scalar("lsh"), int(keep.sum())),
-        }
-    )
+    return est >= (cfg.jaccard_threshold - cfg.verify_margin), est
 
 
-def _pick_candidate_sigs(block, nodes_s: np.ndarray, num_perm: int):
+def _pick_candidate_sigs(tbl: pa.Table, nodes_s: np.ndarray, num_perm: int):
     """One signature block → (node, sig_matrix) rows for candidate nodes
     (runs as a raw Ray task: extraction + Arrow→NumPy deserialize happen in
     parallel in workers; only the small candidate subset reaches the
     driver)."""
-    tbl = block if isinstance(block, pa.Table) else pa.Table.from_batches(block)
-    vals = tbl["node"].to_numpy()
-    if nodes_s.shape[0] == 0 or vals.shape[0] == 0:
-        return np.empty(0, np.int64), np.empty((0, num_perm), np.uint32)
-    idx = np.searchsorted(nodes_s, vals)
-    idx[idx >= nodes_s.shape[0]] = 0
-    mask = nodes_s[idx] == vals
-    if not mask.any():
+    mask = sorted_member(nodes_s, tbl["node"].to_numpy()) if tbl.num_rows else []
+    if not np.any(mask):  # zero-row join blocks may carry no columns
         return np.empty(0, np.int64), np.empty((0, num_perm), np.uint32)
     sub = tbl.filter(pa.array(mask))
     return sub["node"].to_numpy(), minhash_matrix(sub, num_perm)
@@ -325,12 +369,7 @@ def _gather_candidate_sigs(sig_ds, nodes_needed: np.ndarray, cfg: EngineConfig):
     than the filter-stage + driver-iter shape at 1M rows)."""
     import ray
 
-    from europa_ray.util import dataset_block_refs
-
-    refs = dataset_block_refs(sig_ds)
-    nodes_ref = ray.put(nodes_needed)
-    worker = ray.remote(num_cpus=1)(_pick_candidate_sigs)
-    results = ray.get([worker.remote(r, nodes_ref, cfg.num_perm) for r in refs])
+    results = ray.get(block_tasks(sig_ds, _pick_candidate_sigs, nodes_needed, cfg.num_perm))
     node_list = [r[0] for r in results if r[0].shape[0]]
     sig_list = [r[1] for r in results if r[0].shape[0]]
     if not node_list:
@@ -338,30 +377,38 @@ def _gather_candidate_sigs(sig_ds, nodes_needed: np.ndarray, cfg: EngineConfig):
     return np.concatenate(node_list), np.concatenate(sig_list)
 
 
-def _pair_hot_driver(
-    bk: np.ndarray, nd: np.ndarray, cfg: EngineConfig, max_pairs: int
-) -> tuple[np.ndarray, np.ndarray] | int:
-    """Vectorized in-memory per-bucket pairing of a (band_key, node) stream
-    — the in-memory twin of ``_pair_nodes_group`` (same unique-nodes,
-    all-pairs ≤ ``max_band_size``, distance-major window beyond, per-bucket
-    ``max_pairs_per_band`` cap), run for ALL buckets in one lexsort + a
-    loop over DISTINCT bucket sizes (dozens, not millions). Runs inside
-    ``_pair_partition_task`` workers (one hash partition each) so the sort
-    cost scales with CPUs.
+def _bucket_pair_keys(
+    bk: np.ndarray, nd: np.ndarray, n_nodes: int, cfg: EngineConfig, max_pairs: int
+) -> np.ndarray | int:
+    """Vectorized in-memory per-bucket pairing of a (band_key, node index)
+    stream — the in-memory twin of ``_pair_nodes_group`` (same
+    unique-nodes, all-pairs ≤ ``max_band_size``, distance-major window
+    beyond, per-bucket ``max_pairs_per_band`` cap) — returning the sorted
+    distinct pair keys ``a * n_nodes + b`` (a < b; uint64, so below 2^32
+    nodes). Runs inside ``_pair_partition_worker`` tasks
+    (one hash partition each) so the sort cost scales with CPUs.
+
+    One ``np.unique`` of ``bucket_rank * n_nodes + node`` (buckets ranked
+    by an argsort of the band key, cheaper than a 2-key lexsort) groups the
+    rows, orders each bucket's nodes and drops repeats; pairs are emitted
+    for all buckets of one size at a time.
 
     Returns the projected pair count (an int) instead when it exceeds
     ``max_pairs`` (caller falls back to the distributed path)."""
-    order = np.lexsort((nd, bk))
-    bk, nd = bk[order], nd[order]
-    keep = np.ones(bk.shape[0], dtype=bool)
-    keep[1:] = (bk[1:] != bk[:-1]) | (nd[1:] != nd[:-1])
-    bk, nd = bk[keep], nd[keep]
+    if n_nodes >= 1 << 32:
+        raise ValueError(f"{n_nodes} nodes: a pair key no longer fits uint64")
     if bk.shape[0] == 0:
-        return np.empty(0, np.int64), np.empty(0, np.int64)
+        return np.empty(0, np.uint64)
+    order = np.argsort(bk)
     newb = np.ones(bk.shape[0], dtype=bool)
-    newb[1:] = bk[1:] != bk[:-1]
-    starts = np.nonzero(newb)[0]
-    sizes = np.diff(np.append(starts, bk.shape[0]))
+    newb[1:] = bk[order[1:]] != bk[order[:-1]]
+    rank = np.empty(bk.shape[0], np.int64)
+    rank[order] = np.cumsum(newb) - 1
+    bucket, nd = np.divmod(np.unique(rank * n_nodes + nd), n_nodes)
+    newb = np.ones(bucket.shape[0], dtype=bool)
+    newb[1:] = bucket[1:] != bucket[:-1]
+    starts = np.flatnonzero(newb)
+    sizes = np.diff(np.append(starts, bucket.shape[0]))
 
     max_band, band_cap = _pair_limits(cfg)
     small = sizes <= max_band
@@ -371,45 +418,51 @@ def _pair_hot_driver(
     if proj > max_pairs:
         return proj
 
-    out_a: list[np.ndarray] = []
-    out_b: list[np.ndarray] = []
+    nk = nd.astype(np.uint64)
+    mult = np.uint64(n_nodes)
+    out: list[np.ndarray] = [np.empty(0, np.uint64)]
     active = small & (sizes >= 2)
     for s in np.unique(sizes[active]):
-        st = starts[active & (sizes == s)]
+        seg = nk[starts[active & (sizes == s)][:, None] + np.arange(s)]  # (buckets, s)
         iu, ju = np.triu_indices(int(s), k=1)
-        out_a.append(nd[(st[:, None] + iu[None, :]).ravel()])
-        out_b.append(nd[(st[:, None] + ju[None, :]).ravel()])
+        out.append((seg[:, iu] * mult + seg[:, ju]).ravel())
     for st, s in zip(starts[~small], sizes[~small]):
-        seg = nd[st : st + s]
+        seg = nk[st : st + s]
         w = cfg.pair_window
         d = np.repeat(np.arange(1, w + 1), s)
         iu = np.tile(np.arange(s), w)
         ju = iu + d
         ok = ju < s
         iu, ju = iu[ok][:band_cap], ju[ok][:band_cap]
-        out_a.append(seg[iu])
-        out_b.append(seg[ju])
-    if not out_a:
-        return np.empty(0, np.int64), np.empty(0, np.int64)
-    return np.concatenate(out_a), np.concatenate(out_b)
+        out.append(seg[iu] * mult + seg[ju])
+    return np.unique(np.concatenate(out))
+
+
+def unpack_pair_keys(keys: np.ndarray, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """(a, b) int64 index arrays of pair keys; sorted keys give pairs sorted
+    by (a, b)."""
+    a, b = np.divmod(keys, keys.dtype.type(n_nodes))
+    return a.astype(np.int64), b.astype(np.int64)
 
 
 def _pair_partition_worker(
-    bk: np.ndarray, nd: np.ndarray, part: int, n_parts: int, cfg: EngineConfig, max_pairs: int
+    bk: np.ndarray, nd: np.ndarray, n_nodes: int, part: int, n_parts: int,
+    cfg: EngineConfig, max_pairs: int,
 ):
     # bk/nd arrive as zero-copy read-only plasma views (one ray.put each,
     # auto-dereferenced); each task selects its own hash partition — no
     # driver-side argsort/slicing and no per-task argument shipping
     mask = (bk & np.int64(n_parts - 1)) == np.int64(part)
-    if not mask.any():
-        return np.empty(0, np.int64), np.empty(0, np.int64)
-    return _pair_hot_driver(bk[mask], nd[mask], cfg, max_pairs)
+    return _bucket_pair_keys(bk[mask], nd[mask], n_nodes, cfg, max_pairs)
 
 
 def _pair_partitioned(
-    bk: np.ndarray, nd: np.ndarray, cfg: EngineConfig, max_pairs: int
-) -> tuple[np.ndarray, np.ndarray] | int:
-    """Per-bucket pairing, parallelized over hash partitions of band_key.
+    bk: np.ndarray, nd: np.ndarray, n_nodes: int, cfg: EngineConfig, max_pairs: int
+) -> np.ndarray | int:
+    """Per-bucket pairing, parallelized over hash partitions of band_key;
+    ``nd`` holds dense node indices below ``n_nodes``. Returns the sorted
+    distinct pair keys (:func:`_bucket_pair_keys`; unpack with
+    :func:`unpack_pair_keys`).
 
     The sort+pair work is data-proportional; running it as ONE driver
     NumPy pass makes it a CPU-count-constant term that caps scaling
@@ -423,13 +476,19 @@ def _pair_partitioned(
     driver-side pre-partition (argsort + per-task slices) measured ~3 s of
     CPU-count-constant time at 15M exploded rows.
 
+    Each task ships its partition's distinct pair keys (a pair repeats in
+    up to ``lsh_bands`` buckets: hot-families makes 2,069,670 band pairs
+    for 439,657 distinct ones); one ``np.unique`` on the driver removes the
+    pairs that collide in buckets of different partitions.
+
     Over budget it returns the projected pair count (an int: the sum over
-    the partitions that overran, or the total pair count) instead of pairs.
+    the partitions that overran, or the total shipped key count) instead
+    of keys.
     """
     import ray
 
     if bk.shape[0] == 0:
-        return np.empty(0, np.int64), np.empty(0, np.int64)
+        return np.empty(0, np.uint64)
     cpus = cluster_cpus()
     n_parts = 1
     while n_parts < min(64, 2 * cpus):
@@ -439,18 +498,17 @@ def _pair_partitioned(
     per_part_budget = max_pairs  # each checks the global cap; sum re-checked
     worker = ray.remote(num_cpus=1)(_pair_partition_worker)
     futs = [
-        worker.remote(bk_ref, nd_ref, p, n_parts, cfg, per_part_budget)
+        worker.remote(bk_ref, nd_ref, n_nodes, p, n_parts, cfg, per_part_budget)
         for p in range(n_parts)
     ]
     results = ray.get(futs)
     over = [r for r in results if isinstance(r, int)]
     if over:
         return sum(over)
-    a = np.concatenate([r[0] for r in results]) if results else np.empty(0, np.int64)
-    b = np.concatenate([r[1] for r in results]) if results else np.empty(0, np.int64)
-    if a.shape[0] > max_pairs:
-        return int(a.shape[0])
-    return a, b
+    n_keys = sum(r.shape[0] for r in results)
+    if n_keys > max_pairs:
+        return n_keys
+    return np.unique(np.concatenate(results))
 
 
 def candidate_pairs(
@@ -465,27 +523,25 @@ def candidate_pairs(
 ):
     """signatures Dataset → verified, deduplicated candidate pairs.
 
-    Default shape (one distributed pass + driver small-data steps): the
-    (band_key, node) explode — 16 B/row/band, signatures stay OUT of any
-    shuffle — is gathered ONCE (≤ ``driver_max_kn_rows`` rows ≈ 1.6 GB),
-    then collision detection, per-bucket pairing and pair dedup all happen
-    in vectorized NumPy (replacing a groupby(band_key) shuffle that cost
-    more wall time than the whole signature stage's fixed overhead),
-    followed by the signature-gather verification pass (estimated Jaccard
-    ≥ τ, :func:`verify_pairs_by_signature`, chunked). The one-node-per-row
-    sort that yields the exact-duplicate node set free of charge
-    (``return_aux``, sparing the member-assembly stage its own corpus pass)
-    also gives the distinct nodes: the stream is paired on their dense,
-    order-keeping indices, so the raw band pairs dedup in one sort of a
-    packed int64 key (:func:`dedupe_pair_arrays`) with the same pairs and
-    order as node ids give.
+    Default shape (raw tasks + driver small-data steps): one raw task per
+    signature block explodes its band keys (:func:`band_key_nodes`;
+    signatures stay OUT of any shuffle), gathered when the stream fits
+    ``driver_max_kn_rows`` rows. Sorting one node per row yields the
+    distinct nodes ``node_ids`` and the exact-duplicate node set
+    (``dup_nodes``, sparing member assembly its own corpus pass). Pairing
+    (:func:`_pair_partitioned`), the key merge and verification (estimated
+    Jaccard ≥ τ, :func:`_verify_indexed`) all run on dense, order-keeping
+    indices into ``node_ids``; with ``verify``, ``return_aux`` also hands
+    the caller ``node_ids`` and the verified pairs' indices
+    (``dense_pairs``) for the union-find.
 
     Fallback (any budget exceeded — kn stream, projected pair count, or
     verification gather): the fully distributed inline-signature explode
     (``explode_bands`` → ``pair_band_group``), where pairing AND
     verification happen inside band groups with no driver state
     (equivalence-tested by forcing the budgets to 0). Every fallback logs
-    one warning naming the budget and the observed size.
+    one warning naming the budget and the observed size; its aux holds
+    ``dup_nodes`` only.
 
     ``verify=False`` returns the deduplicated UNVERIFIED candidate set
     (schema ``(a, b)``) — the feed for content-level exact verification
@@ -496,85 +552,66 @@ def candidate_pairs(
 
     if num_partitions is None:
         num_partitions = default_num_partitions()
+    sig_ds = sig_ds.materialize()
+    aux: dict = {"dup_nodes": None}
 
-    kn = sig_ds.map_batches(
-        explode_band_key_nodes, fn_kwargs={"cfg": cfg}, batch_format="pyarrow"
-    )
+    def _ret(pairs_ds):
+        return (pairs_ds, aux) if return_aux else pairs_ds
 
-    def _aux(dup_nodes):
-        return {"dup_nodes": dup_nodes}
-
-    def _ret(pairs_ds, dup_nodes=None):
-        return (pairs_ds, _aux(dup_nodes)) if return_aux else pairs_ds
-
-    def _inline(dup_nodes, why: str, *args):
+    def _inline(why: str, *args):
         _log.warning(
             "candidate_pairs: " + why + "; falling back to the distributed inline band path",
             *args,
         )
-        pairs = _candidate_pairs_inline(sig_ds, kn, cfg, num_partitions, verify=verify)
-        return _ret(pairs, dup_nodes)
-
-    bk_parts: list[np.ndarray] = []
-    nd_parts: list[np.ndarray] = []
-    total = 0
-    over = False
-    for b in kn.iter_batches(batch_format="pyarrow", batch_size=1 << 20):
-        total += b.num_rows
-        if total > driver_max_kn_rows:
-            over = True
-            break
-        bk_parts.append(b["band_key"].to_numpy())
-        nd_parts.append(b["node"].to_numpy())
-    if over:
-        return _inline(
-            None, "(band_key, node) stream reached %d rows > driver_max_kn_rows=%d",
-            total, driver_max_kn_rows,
+        kn = sig_ds.map_batches(
+            explode_band_key_nodes, fn_kwargs={"cfg": cfg}, batch_format="pyarrow"
         )
-    if not bk_parts:
-        empty = (PAIRS_SCHEMA if verify else CAND_SCHEMA).empty_table()
-        return _ret(ray.data.from_arrow(empty), np.empty(0, np.int64))
-    bk = np.concatenate(bk_parts)
-    nd = np.concatenate(nd_parts)
+        return _ret(_candidate_pairs_inline(sig_ds, kn, cfg, num_partitions, verify=verify))
 
-    # exact-dup node set: the explode emits each row's node effective_bands
-    # times CONSECUTIVELY (np.repeat, order-preserving iter), so nd[::b] is
-    # one entry per corpus row — sort 1/b of the stream instead of all of it;
-    # count ≥ 2 ⇔ rows sharing content (used by member assembly)
     b_ = effective_bands(cfg)
-    if nd.shape[0] % b_ == 0 and (
-        nd.shape[0] == 0 or (nd[: min(b_, nd.shape[0])] == nd[0]).all()
-    ):
-        row_nodes = nd[::b_]
-    else:  # unexpected layout: fall back to the full stream (count > b)
-        row_nodes = None
-    if row_nodes is not None:
-        rs = np.sort(row_nodes)
-        newn = np.ones(rs.shape[0], dtype=bool)
-        newn[1:] = rs[1:] != rs[:-1]
-        node_ids = rs[newn]
-        dup_nodes = np.unique(rs[~newn])
-    else:
-        node_ids, node_counts = np.unique(nd, return_counts=True)
-        dup_nodes = node_ids[node_counts > b_]
+    n_kn = sig_ds.count() * b_
+    if n_kn > driver_max_kn_rows:
+        return _inline(
+            "(band_key, node) stream of %d rows > driver_max_kn_rows=%d",
+            n_kn, driver_max_kn_rows,
+        )
+    parts = ray.get(block_tasks(sig_ds, band_key_nodes, cfg))
+    bk, row_nodes = (
+        np.concatenate([p[i] for p in parts] + [np.empty(0, np.int64)]) for i in (0, 1)
+    )
+
+    # distinct nodes, and the exact-dup node set (a node on ≥ 2 rows shares
+    # its content; used by member assembly)
+    rs = np.sort(row_nodes)
+    newn = np.ones(rs.shape[0], dtype=bool)
+    newn[1:] = rs[1:] != rs[:-1]
+    node_ids = rs[newn]
+    aux["dup_nodes"] = np.unique(rs[~newn])
 
     # pair on dense node indices: they keep node order, so the pairs and
-    # their order are unchanged, and a pair packs into one int64 sort key
-    paired = _pair_partitioned(bk, np.searchsorted(node_ids, nd), cfg, driver_max_cand_rows)
-    if isinstance(paired, int):
+    # their order are the ones node ids give
+    n = node_ids.shape[0]
+    nd = np.repeat(np.searchsorted(node_ids, row_nodes), b_)
+    keys = _pair_partitioned(bk, nd, n, cfg, driver_max_cand_rows)
+    if isinstance(keys, int):
         return _inline(
-            dup_nodes, "%d projected candidate pairs > driver_max_cand_rows=%d",
-            paired, driver_max_cand_rows,
+            "%d projected candidate pairs > driver_max_cand_rows=%d",
+            keys, driver_max_cand_rows,
         )
-    ca, cb = dedupe_pair_arrays(*paired)
-    cand = pa.table({"a": pa.array(node_ids[ca]), "b": pa.array(node_ids[cb])})
+    ia, ib = unpack_pair_keys(keys, n)
     if not verify:
-        return _ret(ray.data.from_arrow(cand), dup_nodes)
-    try:
-        verified = verify_pairs_by_signature(cand, sig_ds, cfg)
-    except ValueError as exc:
-        return _inline(dup_nodes, "%s", exc)
-    return _ret(ray.data.from_arrow(verified), dup_nodes)
+        cand = pa.table({"a": pa.array(node_ids[ia]), "b": pa.array(node_ids[ib])})
+        return _ret(ray.data.from_arrow(cand))
+    est = np.empty(0, np.float64)
+    if ia.shape[0]:
+        try:
+            keep, est = _verify_indexed(sig_ds, node_ids, ia, ib, cfg)
+        except ValueError as exc:
+            return _inline("%s", exc)
+        ia, ib, est = ia[keep], ib[keep], est[keep]
+    aux["node_ids"] = node_ids
+    aux["dense_pairs"] = (ia, ib)
+    return _ret(ray.data.from_arrow(_pairs_table(node_ids[ia], node_ids[ib], est)))
 
 
 def _candidate_pairs_inline(sig_ds, kn, cfg: EngineConfig, num_partitions: int, *, verify: bool = True):
@@ -623,16 +660,8 @@ def filter_by_key_array(ds, keys: np.ndarray, key_col: str, *, invert: bool = Fa
     keys_ref = ray.put(keys)
 
     def filt(batch: pa.Table) -> pa.Table:
-        ks = ray.get(keys_ref)
-        vals = batch[key_col].to_numpy()
-        if ks.shape[0] == 0:
-            return batch if invert else batch.slice(0, 0)
-        idx = np.searchsorted(ks, vals)
-        idx[idx >= ks.shape[0]] = 0
-        mask = ks[idx] == vals
-        if invert:
-            mask = ~mask
-        return batch.filter(pa.array(mask))
+        mask = sorted_member(ray.get(keys_ref), batch[key_col].to_numpy())
+        return batch.filter(pa.array(~mask if invert else mask))
 
     return ds.map_batches(filt, batch_format="pyarrow")
 
@@ -659,11 +688,7 @@ def semi_join_keys(
         keys_ref = ray.put(keys)
 
         def filt(batch: pa.Table) -> pa.Table:
-            ks = ray.get(keys_ref)
-            vals = batch[key_col].to_numpy()
-            idx = np.searchsorted(ks, vals)
-            idx[idx >= ks.shape[0]] = 0
-            mask = ks[idx] == vals if ks.shape[0] else np.zeros(len(vals), bool)
+            mask = sorted_member(ray.get(keys_ref), batch[key_col].to_numpy())
             return batch.filter(pa.array(mask))
 
         return ds.map_batches(filt, batch_format="pyarrow")

@@ -9,10 +9,14 @@ true connected components — a canonical superset merge — with
 
 Two implementations:
 
-- ``connected_components_driver``: classic union-find with path compression
-  over the streamed edge list. Edges = verified near-dup pairs, orders of
-  magnitude smaller than the corpus; up to ``cc_driver_max_edges`` this is
-  the fastest correct choice and keeps zero extra shuffles.
+- ``components_dense``: min-label propagation with pointer jumping over
+  edges given as dense node indices. Edges = verified near-dup pairs,
+  orders of magnitude smaller than the corpus; up to ``cc_driver_max_edges``
+  this is the fastest correct choice and keeps zero extra shuffles. The
+  near-dup pipeline hands it the indices ``candidate_pairs`` verified on;
+  ``component_label_arrays`` runs it on an (a, b) pairs Dataset, and
+  ``connected_components_driver`` and ``components`` turn that into a
+  ``{node: cluster}`` dict.
 - ``connected_components_distributed``: hash-to-min set propagation
   (Rastogi et al., "Finding Connected Components in Map-Reduce in
   Logarithmic Rounds", ICDE 2013) expressed as Ray Data
@@ -32,37 +36,71 @@ _STATE_SCHEMA = pa.schema([pa.field("key", pa.int64()), pa.field("val", pa.int64
 _LABEL_SCHEMA = pa.schema([pa.field("key", pa.int64()), pa.field("min(val)", pa.int64())])
 
 
-def connected_components_driver(pairs_ds) -> dict[int, int]:
-    """Connected components over an (a: int64, b: int64, ...) pairs Dataset,
-    vectorized: min-label propagation with pointer jumping over NumPy index
-    arrays — O(E) per round, O(log n) rounds, no Python-per-edge loop.
+def components_dense(
+    n: int, ia: np.ndarray, ib: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Connected components over the edges ``(ia[i], ib[i])`` between node
+    indices in ``[0, n)``, vectorized: min-label propagation with pointer
+    jumping over NumPy index arrays — O(E) per round, O(log n) rounds, no
+    Python-per-edge loop.
 
-    Returns {node → component_label} with label = min node in component,
-    only for nodes appearing in at least one edge.
+    Returns ``(node, label)`` int64 arrays sorted by node, for the indices
+    on at least one edge, with label = the smallest index in the
+    component. Indices into a sorted id array keep its order, so mapping
+    both arrays through it gives min-id labels, still sorted by id.
     """
-    a_parts: list[np.ndarray] = []
-    b_parts: list[np.ndarray] = []
-    for batch in pairs_ds.iter_batches(batch_format="pyarrow", batch_size=1 << 20):
-        a_parts.append(batch["a"].to_numpy())
-        b_parts.append(batch["b"].to_numpy())
-    if not a_parts:
-        return {}
-    a = np.concatenate(a_parts)
-    b = np.concatenate(b_parts)
-    nodes, inv = np.unique(np.concatenate([a, b]), return_inverse=True)
-    ia, ib = inv[: a.shape[0]], inv[a.shape[0] :]
-    # nodes are sorted, so min over indices == min over node values
+    ia = np.asarray(ia, np.int64)
+    ib = np.asarray(ib, np.int64)
+    touched = np.zeros(n, bool)
+    touched[ia] = True
+    touched[ib] = True
+    nodes = np.flatnonzero(touched)
+    rank = np.cumsum(touched) - 1
+    ja, jb = rank[ia], rank[ib]
     labels = np.arange(nodes.shape[0], dtype=np.int64)
     while True:
-        m = np.minimum(labels[ia], labels[ib])
+        m = np.minimum(labels[ja], labels[jb])
         new = labels.copy()
-        np.minimum.at(new, ia, m)
-        np.minimum.at(new, ib, m)
+        np.minimum.at(new, ja, m)
+        np.minimum.at(new, jb, m)
         new = new[new[new]]  # pointer jumping: geometric convergence
         if np.array_equal(new, labels):
             break
         labels = new
-    return dict(zip(nodes.tolist(), nodes[labels].tolist()))
+    return nodes, nodes[labels]
+
+
+def edge_arrays(pairs_ds) -> tuple[np.ndarray, np.ndarray]:
+    """The ``a`` and ``b`` columns of a (small) pairs Dataset as int64
+    arrays. The blocks are fetched by ref: ``iter_batches`` would start an
+    executor run (~0.02-0.05 s at 1 CPU) to hand over data already in the
+    object store."""
+    import ray
+
+    tables = [t for t in ray.get(pairs_ds.to_arrow_refs()) if t.num_rows]
+    return tuple(
+        np.concatenate([np.asarray(t[c], np.int64) for t in tables] + [np.empty(0, np.int64)])
+        for c in ("a", "b")
+    )
+
+
+def component_label_arrays(pairs_ds) -> tuple[np.ndarray, np.ndarray]:
+    """Connected components over an (a: int64, b: int64, ...) pairs Dataset
+    as ``(node, label)`` int64 arrays sorted by node, label = min node in
+    the component (:func:`components_dense` over the pairs' indices into
+    their sorted distinct nodes)."""
+    a, b = edge_arrays(pairs_ds)
+    m = a.shape[0]
+    nodes, inv = np.unique(np.concatenate([a, b]), return_inverse=True)
+    node, label = components_dense(nodes.shape[0], inv[:m], inv[m:])
+    return nodes[node], nodes[label]
+
+
+def connected_components_driver(pairs_ds) -> dict[int, int]:
+    """:func:`component_label_arrays` as {node → component_label}, only for
+    nodes appearing in at least one edge."""
+    node, label = component_label_arrays(pairs_ds)
+    return dict(zip(node.tolist(), label.tolist()))
 
 
 def _emit_h2m(batch: pa.Table) -> pa.Table:
@@ -176,9 +214,13 @@ def connected_components_distributed(pairs_ds, *, max_iters: int = 50):
 
 def components(pairs_ds, *, driver_max_edges: int = 5_000_000):
     """Dispatch: driver union-find for small edge lists (returns
-    {node → cluster}), distributed hash-to-min above the threshold (returns
-    a ``(node, cluster)`` Dataset — labels NEVER land on the driver; member
-    assembly joins them back, ``pipelines/neardup.py:assemble_members``)."""
+    {node → cluster}, :func:`connected_components_driver`), distributed
+    hash-to-min above the threshold (returns a ``(node, cluster)`` Dataset
+    — labels NEVER land on the driver; member assembly joins them back,
+    ``pipelines/neardup.py:assemble_members``). The one-shot near-dup
+    pipeline calls :func:`components_dense` / :func:`component_label_arrays`
+    itself and hands assembly sorted label arrays; this entry serves the
+    ``--checkpoint`` flow and semdedup."""
     n_edges = pairs_ds.count()
     if n_edges <= driver_max_edges:
         return connected_components_driver(pairs_ds)

@@ -375,6 +375,53 @@ def dataset_block_refs(ds) -> list:
         return ds.get_internal_block_refs()
 
 
+def _on_arrow_block(fn, block, *args):
+    from ray.data.block import BlockAccessor
+
+    return fn(BlockAccessor.for_block(block).to_arrow(), *args)
+
+
+def block_tasks(ds, fn, *args, **options) -> list:
+    """``fn(block, *args)`` as one raw Ray task per block of a MATERIALIZED
+    dataset, the block handed over as a ``pa.Table``; returns the result
+    refs in block order. NumPy arguments are put in the object store once
+    and shared by every task; ``options`` go to ``.options()`` (e.g.
+    ``num_returns``).
+
+    A ``map_batches`` over data already in the object store pays a whole
+    executor run on top of its per-block tasks (~0.05 s at 1 CPU on a
+    4-block table); a per-block pass whose output goes to the driver does
+    not need one."""
+    import ray
+
+    args = tuple(ray.put(a) if isinstance(a, np.ndarray) else a for a in args)
+    task = ray.remote(num_cpus=1)(_on_arrow_block)
+    if options:
+        task = task.options(**options)
+    return [task.remote(fn, r, *args) for r in dataset_block_refs(ds)]
+
+
+# two lowercase hex digits per byte value
+_HEX_PAIRS = np.frombuffer(
+    "".join(f"{i:02x}" for i in range(256)).encode(), np.uint8
+).reshape(256, 2)
+
+
+def hex16_arrow(values: np.ndarray):
+    """int64 values as 16-digit lowercase hex strings of their uint64 bits
+    (``f"{v & (2**64 - 1):016x}"``), written straight into the Arrow string
+    buffers from a byte-pair lookup table: no Python string per row."""
+    import pyarrow as pa
+
+    v = np.ascontiguousarray(values, np.int64)
+    n = v.shape[0]
+    data = _HEX_PAIRS[v.astype(">i8").view(np.uint8)].tobytes()
+    offsets = (np.arange(n + 1, dtype=np.int32) * 16).tobytes()
+    return pa.Array.from_buffers(
+        pa.string(), n, [None, pa.py_buffer(offsets), pa.py_buffer(data)]
+    )
+
+
 # Results whose blocks total at most this many bytes are sorted on the driver
 # by :func:`sort_result`. A distributed ``Dataset.sort`` pays a sample, a
 # map and a merge task per block whatever the row count: 6.7-7.3 s for the
@@ -397,7 +444,6 @@ def sort_result(ds, key: list[str]):
     (Ray 2.49 shuffles emit them without columns) are dropped; an all-empty
     input keeps its schema."""
     import pyarrow as pa
-    import pyarrow.compute as pc
     import ray
     import ray.data
 
@@ -417,9 +463,34 @@ def sort_result(ds, key: list[str]):
         got = ds.schema()
         schema = got.base_schema if got is not None else pa.schema([])
         return ray.data.from_arrow(schema.empty_table())
-    table = pa.concat_tables(ray.get(refs), promote_options="permissive")
+    return _sort_on_driver(ray.get(refs), key)
+
+
+def _sort_on_driver(tables: list, key: list[str]):
+    import pyarrow as pa
+    import pyarrow.compute as pc
+    import ray.data
+
+    table = pa.concat_tables(tables, promote_options="permissive")
     order = pc.sort_indices(table, sort_keys=[(k, "ascending") for k in key])
     return ray.data.from_arrow(table.take(order))
+
+
+def sort_block_results(outs: list, key: list[str]):
+    """:func:`sort_result` over the outputs of :func:`block_tasks` run with
+    ``num_returns=2``, each a ``(table, nbytes)`` pair of refs: only the
+    sizes are fetched before the dispatch, so an over-budget result stays in
+    the object store and sorts distributed."""
+    import pyarrow as pa
+    import ray
+    import ray.data
+
+    if not outs:
+        return ray.data.from_arrow(pa.table({}))
+    tables = [t for t, _ in outs]
+    if sum(ray.get([s for _, s in outs])) > DRIVER_SORT_MAX_BYTES:
+        return ray.data.from_arrow_refs(tables).sort(key)
+    return _sort_on_driver(ray.get(tables), key)
 
 
 def _attach_row_index(block, offset: int, index_col: str):

@@ -310,3 +310,103 @@ def test_near_dup_representatives_tiny_distributed(ray_session):
     got2 = near_dup_representatives(uniq, driver_max_cluster_rows=0)
     df2 = got2.to_pandas() if isinstance(got2, ray.data.Dataset) else got2.to_pandas()
     assert len(df2) == 2  # all singletons kept
+
+
+def test_hex16_arrow_matches_format():
+    """The buffer-built cluster_id strings equal ``f"{c:016x}"`` of the
+    uint64 bits, at the edges and on random ids."""
+    import pyarrow as pa
+
+    from europa_ray.util import hex16_arrow
+
+    vals = np.array([0, 1, -(2**63), -1, 2**63 - 1], np.int64)
+    vals = np.concatenate([vals, np.random.default_rng(0).integers(-(2**63), 2**63 - 1, 500)])
+    got = hex16_arrow(vals)
+    assert got.type == pa.string()
+    assert got.to_pylist() == [f"{c:016x}" for c in vals.view(np.uint64)]
+    assert got.to_pylist()[:4] == [
+        "0000000000000000", "0000000000000001", "8000000000000000", "ffffffffffffffff",
+    ]
+    assert hex16_arrow(np.empty(0, np.int64)).to_pylist() == []
+
+
+def _one_table(ds):
+    import pyarrow as pa
+    import ray
+
+    return pa.concat_tables(ray.get(ds.to_arrow_refs()))
+
+
+def test_trace_chain_equals_pipeline(ray_session, tiny_corpus):
+    """The layer-by-layer public entries the benchmark trace calls
+    (candidates, then ``verify_pairs_by_signature``, ``components`` and
+    ``assemble_members`` with a dict) give the same pair and cluster tables
+    as ``near_dup_pipeline``, row order included."""
+    import ray.data
+
+    from europa_ray.config import DEFAULT_CONFIG as cfg
+    from europa_ray.pipelines.neardup import assemble_members, near_dup_pipeline
+    from europa_ray.stages.lsh import candidate_pairs, verify_pairs_by_signature
+    from europa_ray.stages.signatures import signatures
+    from europa_ray.state.unionfind import components
+
+    files = ray.data.read_parquet(tiny_corpus)
+    out = near_dup_pipeline(files)
+
+    sigs = signatures(files, cfg, compute_fuzzy=False).materialize()
+    cand, aux = candidate_pairs(sigs, cfg, return_aux=True, verify=False)
+    pairs = ray.data.from_arrow(
+        verify_pairs_by_signature(cand.materialize().to_pandas(), sigs, cfg)
+    ).materialize()
+    labels = components(pairs, driver_max_edges=cfg.cc_driver_max_edges)
+    assert isinstance(labels, dict)
+    clusters = assemble_members(sigs, labels, cfg, dup_nodes=aux["dup_nodes"])
+
+    want_pairs, got_pairs = _one_table(out["pairs"]), _one_table(pairs)
+    want_clusters, got_clusters = _one_table(out["clusters"]), _one_table(clusters)
+    assert want_pairs.num_rows > 0 and want_clusters.num_rows > 0
+    assert got_pairs.equals(want_pairs)
+    assert got_clusters.equals(want_clusters)
+
+
+def test_pipeline_on_fully_filtered_input(ray_session, tiny_corpus):
+    """Filters that drop every row give empty pair and cluster tables, on
+    both union-find budgets."""
+    import ray.data
+
+    from europa_ray.config import EngineConfig
+    from europa_ray.pipelines.neardup import near_dup_pipeline
+
+    files = ray.data.read_parquet(tiny_corpus)
+    for cc_max in (5_000_000, 0):
+        cfg = EngineConfig(include_langs=("no-such-lang",), cc_driver_max_edges=cc_max)
+        out = near_dup_pipeline(files, cfg)
+        assert out["pairs"].count() == 0
+        assert _one_table(out["clusters"]).num_rows == 0
+
+
+def test_assembly_ignores_empty_signature_blocks(ray_session, tiny_corpus):
+    """Zero-row signature blocks, with the signature columns or with none
+    (as Ray join outputs emit them), add no rows or columns to the
+    member table."""
+    import pyarrow as pa
+    import ray
+    import ray.data
+
+    from europa_ray.config import DEFAULT_CONFIG as cfg
+    from europa_ray.pipelines.neardup import assemble_members
+    from europa_ray.stages.lsh import candidate_pairs
+    from europa_ray.stages.signatures import signatures
+    from europa_ray.state.unionfind import components
+
+    sigs = signatures(ray.data.read_parquet(tiny_corpus), cfg, compute_fuzzy=False).materialize()
+    pairs, aux = candidate_pairs(sigs, cfg, return_aux=True)
+    labels = components(pairs.materialize())
+    want = _one_table(assemble_members(sigs, labels, cfg, dup_nodes=aux["dup_nodes"]))
+    assert want.num_rows > 0
+
+    tables = ray.get(sigs.to_arrow_refs())
+    for extra in (tables[0].slice(0, 0), pa.table({})):
+        padded = ray.data.from_arrow([extra, *tables, extra]).materialize()
+        got = _one_table(assemble_members(padded, labels, cfg, dup_nodes=aux["dup_nodes"]))
+        assert got.equals(want)

@@ -1,6 +1,8 @@
 """The driver-side pair kernels shared by the pairers: packed-key pair dedup
-(``dedupe_pair_arrays``) and chunked MinHash verification
-(``match_fraction``, ``verify_pairs_by_signature``, ``pair_band_group``)."""
+(``dedupe_pair_arrays``), the packed-key partition pairer
+(``_pair_partitioned`` and its per-partition kernel) and chunked MinHash
+verification (``match_fraction``, ``verify_pairs_by_signature``,
+``pair_band_group``)."""
 
 from __future__ import annotations
 
@@ -167,3 +169,91 @@ def test_verify_memory_stays_bounded(ray_session):
         tracemalloc.stop()
     assert got.num_rows > 0
     assert peak < 40 * 2**20, f"traced peak {peak / 2**20:.1f} MB"
+
+
+def _raw_bucket_pairs(bk, nd, cfg):
+    """Every bucket's raw pairs, one bucket at a time, concatenated: all
+    pairs of its distinct nodes up to ``max_band_size``, beyond it the
+    distance-major window capped at ``max_pairs_per_band``."""
+    out_a, out_b = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+    for key in np.unique(bk):
+        nodes = np.unique(nd[bk == key])
+        n = nodes.shape[0]
+        if n <= cfg.max_band_size:
+            iu, ju = np.triu_indices(n, k=1)
+        else:
+            pairs = [(i, i + d) for d in range(1, cfg.pair_window + 1) for i in range(n - d)]
+            iu, ju = np.array(pairs[: cfg.max_pairs_per_band], np.int64).reshape(-1, 2).T
+        out_a.append(nodes[iu])
+        out_b.append(nodes[ju])
+    return np.concatenate(out_a), np.concatenate(out_b)
+
+
+def _partition_pairs(bk, nd, n_nodes, cfg, n_parts):
+    """The partition pairer in-process: each partition's shipped keys,
+    merged as ``_pair_partitioned`` merges them."""
+    keys = [
+        lsh._pair_partition_worker(bk, nd, n_nodes, p, n_parts, cfg, 1 << 62)
+        for p in range(n_parts)
+    ]
+    assert all(k.dtype == np.uint64 for k in keys)
+    return lsh.unpack_pair_keys(np.unique(np.concatenate(keys)), n_nodes)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=60),  # nodes
+    st.integers(min_value=1, max_value=12),  # buckets
+    st.integers(min_value=0, max_value=400),  # stream rows
+    st.integers(min_value=2, max_value=8),  # max_band_size: hot buckets window
+    st.integers(min_value=1, max_value=40),  # max_pairs_per_band
+    st.sampled_from([1, 2, 4]),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_partition_pairer_matches_raw_pair_dedup(
+    n_nodes, n_buckets, rows, max_band, cap, n_parts, seed
+):
+    """Partition keys merged by one unique == ``dedupe_pair_arrays`` over
+    the raw per-bucket pairs, same order, for random (band_key, index)
+    streams with repeats, windowed hot buckets and the per-band cap."""
+    rng = np.random.default_rng(seed)
+    keys = rng.integers(-(2**63), 2**63 - 1, n_buckets, dtype=np.int64)
+    bk = keys[rng.integers(0, n_buckets, rows)]
+    nd = rng.integers(0, n_nodes, rows).astype(np.int64)
+    cfg = EngineConfig(max_band_size=max_band, pair_window=3, max_pairs_per_band=cap)
+    want = lsh.dedupe_pair_arrays(*_raw_bucket_pairs(bk, nd, cfg))
+    got = _partition_pairs(bk, nd, n_nodes, cfg, n_parts)
+    for g, w in zip(got, want):
+        assert g.dtype == np.int64
+        np.testing.assert_array_equal(g, w)
+
+
+def test_partition_pairer_many_nodes():
+    """With 70,000 nodes (keys above 2^32) the keys still unpack to the raw
+    pairs' dedup, with indices near the top of the range."""
+    rng = np.random.default_rng(3)
+    n_nodes = 70_000
+    bk = rng.integers(0, 40, 3000).astype(np.int64)
+    nd = np.concatenate([rng.integers(0, n_nodes, 2990), np.arange(n_nodes - 10, n_nodes)])
+    cfg = EngineConfig(max_band_size=64, pair_window=4, max_pairs_per_band=500)
+    want = lsh.dedupe_pair_arrays(*_raw_bucket_pairs(bk, nd, cfg))
+    for n_parts in (1, 2, 4):
+        got = _partition_pairs(bk, nd, n_nodes, cfg, n_parts)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+    assert want[1].max() >= n_nodes - 10
+
+
+def test_pair_partitioned_tasks_match_in_process(ray_session):
+    """The Ray-task pairer returns the in-process merge, and its budget
+    check returns an int."""
+    rng = np.random.default_rng(8)
+    bk = rng.integers(0, 300, 20_000).astype(np.int64)
+    nd = rng.integers(0, 5000, 20_000).astype(np.int64)
+    cfg = EngineConfig(max_band_size=60, pair_window=4, max_pairs_per_band=1000)
+    keys = lsh._pair_partitioned(bk, nd, 5000, cfg, 1 << 40)
+    got = lsh.unpack_pair_keys(keys, 5000)
+    want = _partition_pairs(bk, nd, 5000, cfg, 4)
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g, w)
+    assert isinstance(lsh._pair_partitioned(bk, nd, 5000, cfg, 10), int)

@@ -219,15 +219,16 @@ def test_candidate_pairs_gather_guard_falls_back_inline(
 ):
     """A gather-verify overflow (more candidate nodes than
     ``gather_max_nodes``) falls back to the inline path: same pairs as the
-    default path, and a warning."""
+    default path, and a warning. ``candidate_pairs`` verifies through the
+    dense-index entry ``_verify_indexed``."""
     import functools
 
     from europa_ray.stages import lsh
 
     monkeypatch.setattr(
         lsh,
-        "verify_pairs_by_signature",
-        functools.partial(lsh.verify_pairs_by_signature, gather_max_nodes=0),
+        "_verify_indexed",
+        functools.partial(lsh._verify_indexed, gather_max_nodes=0),
     )
     _assert_inline_fallback(caplog, sigs_and_default, "gather_max_nodes=0")
 

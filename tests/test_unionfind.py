@@ -1,4 +1,5 @@
-"""Union-find / connected-components tests: driver vs distributed vs networkx."""
+"""Union-find / connected-components tests: dense kernel vs driver vs
+distributed vs networkx."""
 
 from __future__ import annotations
 
@@ -25,6 +26,30 @@ def _oracle(edges) -> dict[int, int]:
     return {n: min(c) for c in nx.connected_components(g) for n in c}
 
 
+def _dense(edges) -> dict[int, int]:
+    """``components_dense`` over the edges' indices into their sorted
+    distinct ids, with a few isolated ids in that array, mapped back."""
+    from europa_ray.state.unionfind import components_dense
+
+    ab = np.array(edges, np.int64).T.ravel()
+    ids = np.unique(np.concatenate([ab, [-(2**63), 2**63 - 1, 7_777_777]]))
+    idx = np.searchsorted(ids, ab)
+    node, label = components_dense(ids.shape[0], idx[: len(edges)], idx[len(edges) :])
+    assert np.all(np.diff(node) > 0)
+    return dict(zip(ids[node].tolist(), ids[label].tolist()))
+
+
+def test_components_dense_edges():
+    """No edge labels nothing; a self-loop labels its one node; isolated
+    indices stay out."""
+    from europa_ray.state.unionfind import components_dense
+
+    empty = np.empty(0, np.int64)
+    assert [x.tolist() for x in components_dense(5, empty, empty)] == [[], []]
+    node, label = components_dense(6, np.array([4, 2, 5]), np.array([4, 5, 3]))
+    assert node.tolist() == [2, 3, 4, 5] and label.tolist() == [2, 2, 4, 2]
+
+
 @pytest.mark.parametrize("seed", [1, 2])
 def test_driver_union_find_matches_networkx(ray_session, seed):
     import ray.data
@@ -40,6 +65,7 @@ def test_driver_union_find_matches_networkx(ray_session, seed):
     )
     got = connected_components_driver(ray.data.from_arrow(tbl))
     assert got == _oracle(edges)
+    assert _dense(edges) == got
 
 
 def test_distributed_cc_matches_networkx(ray_session):
@@ -148,8 +174,9 @@ def _mixed_graph(seed: int) -> list[tuple[int, int]]:
 
 @pytest.mark.parametrize("seed", [11, 12, 13])
 def test_cc_driver_distributed_networkx_agree(ray_session, seed):
-    """Random mixed graphs: driver union-find == distributed hash-to-min ==
-    networkx connected components (label = min node)."""
+    """Random mixed graphs: dense kernel == driver union-find ==
+    distributed hash-to-min == networkx connected components (label = min
+    node)."""
     import ray.data
 
     from europa_ray.state.unionfind import (
@@ -172,6 +199,7 @@ def test_cc_driver_distributed_networkx_agree(ray_session, seed):
     assert len(labels) == len(distributed)  # one label row per node
     assert driver == want
     assert distributed == want
+    assert _dense(edges) == want
 
 
 def test_distributed_cc_raises_when_not_converged(ray_session):
