@@ -15,11 +15,15 @@ rows in the hot path.
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 
-from europa_ray.util import mix64, splitmix64
+from europa_ray.util import mix64, splitmix64, splitmix64_inplace
 
 _U64 = np.uint64
+# index of a uint64's high uint32 half in a native-order uint32 view
+_HIGH_HALF = 1 if sys.byteorder == "little" else 0
 
 
 def make_perm_seeds(num_perm: int, seed: int) -> np.ndarray:
@@ -132,27 +136,29 @@ def minhash_signatures_oph(
     pbits = int(p).bit_length() - 1
     if (1 << pbits) != p:
         raise ValueError("oph requires num_perm to be a power of two")
-    y = mix64(sh_flat, seed=np.uint64(seed) ^ _U64(0x0F1D_BEEF_CAFE_F00D))
-    bins = (y >> _U64(64 - pbits)).astype(np.int64)
-    vals = (y & _U64(0xFFFFFFFF)).astype(np.uint32)
-    rows = (
-        np.repeat(np.arange(n_rows, dtype=np.int64), np.diff(sh_offsets))
-        if n_rows > 1
-        else np.zeros(m, dtype=np.int64)
-    )
-    key = (rows * p + bins).astype(np.uint64)
     if n_rows * p >= (1 << 32):
         raise ValueError("oph batch too large: n_rows * num_perm must fit 32 bits")
-    # sort-based min-per-key: pack (key << 32 | value) into one uint64 —
-    # after sorting, the FIRST element of each key group carries the key's
-    # minimum value (≈3× faster than argsort + two gathers + reduceat).
-    # Keys are row-major (key = row·p + bin), so sorting ROW-ALIGNED chunks
-    # is exactly equivalent to one global sort — and a ~48k-element chunk
-    # (0.4 MB) stays resident in a PRIVATE per-core L2, which is what lets
-    # the kernel scale across workers (a full-batch sort streams DRAM and
-    # saturates the shared-bandwidth ceiling beyond a few cores; same
-    # chunking rationale as minhash_signatures/simhash_signatures).
-    combo = (key << _U64(32)) | vals.astype(np.uint64)
+    # sort-based min-per-key: the key row·p + bin and the value (low 32
+    # bits of the mix) pack into one uint64 ``key << 32 | value``, built in
+    # place over the mixed array — after sorting, the FIRST element of each
+    # key group carries the key's minimum value (≈3× faster than argsort +
+    # two gathers + reduceat).
+    combo = np.asarray(sh_flat, dtype=_U64) ^ (_U64(seed) ^ _U64(0x0F1D_BEEF_CAFE_F00D))
+    scratch = np.empty_like(combo)
+    splitmix64_inplace(combo, scratch)
+    np.right_shift(combo, _U64(64 - pbits), out=scratch)  # bin
+    scratch <<= _U64(32)
+    combo &= _U64(0xFFFFFFFF)
+    combo |= scratch
+    if n_rows > 1:
+        row_keys = np.arange(n_rows, dtype=_U64) << _U64(32 + pbits)
+        combo |= np.repeat(row_keys, np.diff(sh_offsets))
+    # Keys are row-major, so sorting ROW-ALIGNED chunks is exactly
+    # equivalent to one global sort — and a ~48k-element chunk (0.4 MB)
+    # stays resident in a PRIVATE per-core L2, which is what lets the kernel
+    # scale across workers (a full-batch sort streams DRAM and saturates the
+    # shared-bandwidth ceiling beyond a few cores; same chunking rationale
+    # as minhash_signatures/simhash_signatures).
     chunk_target = 48_000
     r0 = 0
     while r0 < n_rows:
@@ -160,13 +166,17 @@ def minhash_signatures_oph(
         r1 = min(max(r1, r0 + 1), n_rows)
         s0, s1 = int(sh_offsets[r0]), int(sh_offsets[r1])
         if s1 > s0:
-            combo[s0:s1] = np.sort(combo[s0:s1])
+            combo[s0:s1].sort()
         r0 = r1
-    kk = (combo >> _U64(32)).astype(np.int64)
-    newk = np.ones(m, dtype=bool)
-    newk[1:] = kk[1:] != kk[:-1]
-    sel_keys = kk[newk]
-    out.ravel()[sel_keys] = (combo[newk] & _U64(0xFFFFFFFF)).astype(np.uint32)
+    # first of each key group: the key is the high uint32 half of each
+    # element (key < 2^32), compared through a strided view without a copy
+    hi = combo.view(np.uint32)[_HIGH_HALF::2]
+    newk = np.empty(m, dtype=bool)
+    newk[0] = True
+    np.not_equal(hi[1:], hi[:-1], out=newk[1:])
+    first = combo[np.flatnonzero(newk)]
+    sel_keys = (first >> _U64(32)).astype(np.intp)
+    out.ravel()[sel_keys] = first.astype(np.uint32)  # low 32 bits: the value
 
     # densification: forward-fill from the left, circular per row. Two
     # passes of maximum.accumulate over "last filled bin index ≤ j" give

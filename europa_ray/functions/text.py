@@ -6,10 +6,14 @@ MagicScalerImageProcessor.cs:50-98``): reduce each artifact to a canonical
 small representation before signatures. For source code that is a token
 stream → k-gram shingle hash set.
 
-Everything here is batch-vectorized: the only Python-level per-row work is a
-compiled-regex ``findall`` (C speed); token hashing uses
-``pandas.util.hash_array`` and shingle construction is a flat polynomial
-rolling combine with row boundaries handled by masking — no Python loop over
+Everything here is batch-vectorized over flat byte, token and shingle
+arrays with row offsets, and each kernel makes few passes over arrays of
+the chunk's size: token boundaries come from uint8 byte classes and one
+glue mask (:func:`_token_boundaries`), token hashes from two affix loads
+and in-place splitmix64 rounds (:func:`span_hashes`), shingles from an
+in-place polynomial combine over the flat token array with one mask for
+the windows that cross a row end. The only Python-level per-row work is
+the compiled-regex fallback for non-ASCII rows — no Python loop over
 tokens or shingles.
 """
 
@@ -19,7 +23,7 @@ import re
 
 import numpy as np
 
-from europa_ray.util import HASH_KEY, hash_strings, mix64
+from europa_ray.util import mix64, splitmix64, splitmix64_inplace
 
 # \w+ (identifier/number runs) or single non-word-non-space char (operators,
 # punctuation). re.ASCII so \w matches RE2-based SQL oracles (DuckDB
@@ -37,20 +41,12 @@ _POLY = _U64(0x100000001B3)  # FNV-64 prime
 
 # --- zero-copy byte-level tokenizer -----------------------------------------
 #
-# Token identity = mix64 of a polynomial over the token's UTF-8 bytes — the
-# SAME value whether produced by the vectorized ASCII fast path (prefix-sum
-# trick over the raw Arrow buffer, no Python string objects) or the per-row
-# regex fallback for non-ASCII rows. Token BOUNDARIES match ``TOKEN_RE``
-# (RE2-semantics ``\w+|[^\w\s]``) exactly (byte classes below).
-
-# byte classes: 1 = word ([A-Za-z0-9_]), 0 = space ([ \t\n\r\f] — RE2's \s,
-# which excludes \v; see TOKEN_RE note), 2 = punct
-_BYTE_CLASS = np.full(256, 2, dtype=np.uint8)
-for _b in b" \t\n\r\f":
-    _BYTE_CLASS[_b] = 0
-for _r in (b"az", b"AZ", b"09"):
-    _BYTE_CLASS[_r[0] : _r[1] + 1] = 1
-_BYTE_CLASS[ord("_")] = 1
+# Token identity = splitmix64 rounds over the token's length and its first
+# and last 8 UTF-8 bytes — the SAME value whether produced by the vectorized
+# ASCII fast path (affix loads from the raw Arrow buffer, no Python string
+# objects) or the per-row regex fallback for non-ASCII rows. Token
+# BOUNDARIES match ``TOKEN_RE`` (RE2-semantics ``\w+|[^\w\s]``) exactly
+# (byte classes in ``_token_boundaries``).
 
 # mask selecting the low min(len, 8) bytes of a little-endian u64 load
 _LEN_MASKS = np.array([(1 << (8 * i)) - 1 for i in range(8)] + [(1 << 64) - 1], dtype=_U64)
@@ -65,8 +61,6 @@ def _finalize_token_hash(head: np.ndarray, tail: np.ndarray, lens: np.ndarray) -
     collisions between distinct >16-byte identifiers sharing both affixes
     and length merely perturb one shingle.
     """
-    from europa_ray.util import splitmix64
-
     with np.errstate(over="ignore"):
         return splitmix64(
             np.asarray(head, dtype=_U64)
@@ -89,23 +83,58 @@ def _byte_token_hash(token_bytes: bytes) -> int:
     )
 
 
+def span_hashes(data: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Token hash of every byte span ``data[starts[i]:ends[i]]`` (spans are
+    non-empty) — the value :func:`_finalize_token_hash` gives, computed in
+    place.
+
+    ONE unaligned little-endian u64 load per affix via an overlapping
+    1-byte-stride view, masked to the token length. A token of at most 8
+    bytes has its tail affix equal to its head, so the tail is loaded only
+    for the longer tokens. The three splitmix64 rounds run in place over
+    one hash array and one scratch array."""
+    n = data.shape[0]
+    padded = np.zeros(n + 8, dtype=np.uint8)
+    padded[:n] = data
+    over = np.ndarray(buffer=padded, dtype=_U64, shape=(n + 1,), strides=(1,))
+    lens = ends - starts
+    head = over[starts]
+    head &= _LEN_MASKS[np.minimum(lens, 8)]
+    h = lens.astype(_U64)
+    scratch = np.empty_like(h)
+    splitmix64_inplace(h, scratch)
+    h ^= head
+    long = np.flatnonzero(lens > 8)
+    h[long] ^= head[long] ^ over[ends[long] - 8]  # tail affix in place of the head
+    splitmix64_inplace(h, scratch)
+    h ^= head
+    return splitmix64_inplace(h, scratch)
+
+
 def _token_boundaries(
     data: np.ndarray, row_offsets: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Shared boundary machinery for ``tokenize_bytes`` and ``token_spans``
-    (ONE implementation — the rewrite's span↔hash alignment depends on the
-    two agreeing byte-for-byte): returns ``(ascii_rows, starts, ends,
-    start_offsets)`` over the flat byte buffer, where row ``r``'s tokens are
+    """The one byte-class definition and boundary pass behind
+    ``tokenize_bytes``, ``token_spans`` and ``token_count_arrow`` (the
+    rewrite's span↔hash alignment depends on them agreeing byte-for-byte):
+    returns ``(ascii_rows, starts, ends, start_offsets)`` over the flat byte
+    buffer, where row ``r``'s tokens are
     ``starts[start_offsets[r]:start_offsets[r + 1]]``. ``data`` must be
     non-empty.
 
+    Byte classes match ``TOKEN_RE``: word = ``[A-Za-z0-9_]``, space =
+    RE2's ``[ \\t\\n\\r\\f]`` (not ``\\v``), punct = every other byte. They
+    are computed with uint8 arithmetic (a 256-entry LUT gather would widen
+    every byte index to intp). A token byte (word or punct) starts a token
+    unless it and the byte before it are both word bytes of one row
+    ("glued"), and ends one unless it is glued to the byte after it; a
+    punct byte is both. So one glue mask, cleared at row edges so runs
+    never span adjacent rows of the contiguous buffer, gives the starts
+    and the ends in one ``flatnonzero`` each.
+
     ascii-row detection: reduceat runs over NON-EMPTY rows' start offsets
     only (strictly increasing, all < n), so no index clipping is needed and
-    every row's final byte is inspected — a clipped trailing offset would
-    silently exclude the last byte of the preceding row from the check.
-    Word runs reset at row boundaries (at each row's first byte for run
-    starts, at its last byte for run ends) so runs never span adjacent rows
-    in the contiguous buffer; run starts and run ends then pair up in order.
+    every row's final byte is inspected.
     """
     n_rows = row_offsets.shape[0] - 1
     n = data.shape[0]
@@ -118,24 +147,27 @@ def _token_boundaries(
     else:
         ascii_rows = np.zeros(0, dtype=bool)
 
-    cls = _BYTE_CLASS[data]
-    word = cls == 1
-    prev_word = np.zeros(n, dtype=bool)
-    prev_word[1:] = word[:-1]
-    row_starts = row_offsets[:-1]
-    prev_word[row_starts[row_starts < n]] = False
-    next_word = np.zeros(n, dtype=bool)
-    next_word[:-1] = word[1:]
-    row_lasts = row_offsets[1:] - 1
-    next_word[row_lasts[row_lasts >= 0]] = False
-
-    is_start = word & ~prev_word
-    is_start |= cls == 2
-    starts = np.nonzero(is_start)[0]
-    # a punct token is one byte; the k-th word-run start ends at the k-th
-    # word-run end
-    ends = starts + 1
-    ends[word[starts]] = np.nonzero(word & ~next_word)[0] + 1
+    t = data | np.uint8(0x20)  # ASCII letters fold to lower case
+    t -= np.uint8(ord("a"))
+    word = t < 26
+    tmp = np.empty(n, dtype=bool)
+    np.subtract(data, np.uint8(ord("0")), out=t)
+    word |= np.less(t, 10, out=tmp)
+    word |= np.equal(data, ord("_"), out=tmp)
+    np.subtract(data, np.uint8(9), out=t)  # \t \n \v \f \r → 0..4
+    token = np.greater_equal(t, 5, out=tmp)
+    token |= data == 11  # \v is a token byte
+    token &= data != ord(" ")
+    glue = word[:-1] & word[1:]
+    edges = row_offsets[1:-1]
+    glue[edges[(edges > 0) & (edges < n)] - 1] = False
+    np.logical_not(glue, out=glue)
+    is_start = token.copy()
+    is_start[1:] &= glue
+    token[:-1] &= glue  # now: is a token's last byte
+    starts = np.flatnonzero(is_start)
+    ends = np.flatnonzero(token)
+    ends += 1
     start_offsets = np.searchsorted(starts, row_offsets)
     return ascii_rows, starts, ends, start_offsets
 
@@ -146,7 +178,7 @@ def token_spans(
     """Byte SPANS of every token: ``(starts, ends, token_offsets,
     passthrough_rows)`` — global positions into ``data``, token counts per
     row as offsets. Boundaries match ``tokenize_bytes`` / ``TOKEN_RE``
-    exactly for ASCII rows (same LUT/run logic) and for valid-UTF-8
+    exactly for ASCII rows (same boundary pass) and for valid-UTF-8
     non-ASCII rows (regex with a char→byte offset map). Rows that do NOT
     decode as UTF-8 are flagged in ``passthrough_rows`` and contribute no
     tokens — a span-rewrite consumer must copy them through unchanged
@@ -201,16 +233,20 @@ def token_spans(
 
 
 def tokenize_bytes(
-    data: np.ndarray, row_offsets: np.ndarray
+    data: np.ndarray, row_offsets: np.ndarray, max_tokens: int | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Tokenize UTF-8 byte rows → (flat uint64 token hashes, token offsets).
 
-    Fully vectorized for ASCII rows: byte classification via LUT, run
-    detection via masked diffs, token hashing via modular prefix sums
-    h(s,e) = (S[e] − S[s]) · P^−s (wraparound uint64; P odd ⇒ invertible),
-    finalized with mix64(·, seed=token_len). Rows containing any byte ≥ 0x80
-    take the regex fallback (identical hashes; unicode chars must tokenize
-    per CHARACTER, not per byte, to match ``TOKEN_RE`` with re.ASCII).
+    Fully vectorized for ASCII rows: token boundaries from
+    :func:`_token_boundaries`, hashes from :func:`span_hashes` (length,
+    first 8 and last 8 bytes through splitmix64). Rows containing any byte
+    ≥ 0x80 take the regex fallback (identical hashes; unicode chars must
+    tokenize per CHARACTER, not per byte, to match ``TOKEN_RE`` with
+    re.ASCII).
+
+    ``max_tokens`` keeps each row's first ``max_tokens`` tokens — the same
+    arrays as :func:`truncate_rows` over the full result, but only the kept
+    tokens are hashed.
     """
     n_rows = row_offsets.shape[0] - 1
     n = data.shape[0]
@@ -218,25 +254,19 @@ def tokenize_bytes(
         return np.empty(0, _U64), np.zeros(n_rows + 1, dtype=np.int64)
 
     ascii_rows, starts, ends, start_offsets = _token_boundaries(data, row_offsets)
-
-    # token hash from (head8, tail8, length): ONE unaligned little-endian u64
-    # load per affix via an overlapping 1-byte-stride view, masked to the
-    # token length — two gathers per token, no per-byte matrices
-    lens = ends - starts
-    tl = np.minimum(lens, 8)
-    padded = np.zeros(n + 8, dtype=np.uint8)
-    padded[:n] = data
-    over = np.ndarray(buffer=padded, dtype=_U64, shape=(n + 1,), strides=(1,))
-    head = over[starts] & _LEN_MASKS[tl]
-    tail = over[ends - tl] & _LEN_MASKS[tl]
-    tok_hash = _finalize_token_hash(head, tail, lens.astype(_U64))
+    if max_tokens is not None:
+        keep, start_offsets = _truncate_mask(start_offsets, max_tokens)
+        if keep is not None:
+            starts, ends = starts[keep], ends[keep]
+    tok_hash = span_hashes(data, starts, ends)
 
     fb_rows = np.nonzero(~ascii_rows)[0]  # empty rows count as ASCII
     if not fb_rows.shape[0]:
         return tok_hash, start_offsets
 
-    # fallback rows: regex on the decoded string, same byte-hash per token,
-    # spliced between the fast-path tokens of the ASCII rows around them
+    # fallback rows: regex on the decoded string, the same span hash over
+    # the tokens' UTF-8 bytes laid end to end, spliced between the
+    # fast-path tokens of the ASCII rows around them
     counts = np.diff(start_offsets)
     parts = []
     prev = 0
@@ -244,8 +274,15 @@ def tokenize_bytes(
         parts.append(tok_hash[start_offsets[prev] : start_offsets[r]])
         prev = r + 1
         seg = data[row_offsets[r] : row_offsets[r + 1]].tobytes()
-        toks = TOKEN_RE.findall(seg.decode("utf-8", errors="replace"))
-        parts.append(np.array([_byte_token_hash(t.encode("utf-8")) for t in toks], dtype=_U64))
+        toks = [
+            t.encode("utf-8")
+            for t in TOKEN_RE.findall(seg.decode("utf-8", errors="replace"))[:max_tokens]
+        ]
+        tok_lens = np.fromiter(map(len, toks), np.int64, len(toks))
+        tok_ends = np.cumsum(tok_lens)
+        parts.append(
+            span_hashes(np.frombuffer(b"".join(toks), np.uint8), tok_ends - tok_lens, tok_ends)
+        )
         counts[r] = len(toks)
     parts.append(tok_hash[start_offsets[prev] :])
     offsets = np.zeros(n_rows + 1, dtype=np.int64)
@@ -277,10 +314,11 @@ def arrow_string_bytes(arr) -> tuple[np.ndarray, np.ndarray]:
     return np.ascontiguousarray(data), str_offsets
 
 
-def tokenize_arrow(arr) -> tuple[np.ndarray, np.ndarray]:
-    """Tokenize an Arrow string column ZERO-COPY from its buffers."""
+def tokenize_arrow(arr, max_tokens: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Tokenize an Arrow string column ZERO-COPY from its buffers
+    (``max_tokens`` as in :func:`tokenize_bytes`)."""
     data, str_offsets = arrow_string_bytes(arr)
-    return tokenize_bytes(data, str_offsets)
+    return tokenize_bytes(data, str_offsets, max_tokens)
 
 
 def tokenize(texts) -> tuple[np.ndarray, np.ndarray]:
@@ -303,64 +341,37 @@ def token_counts(texts) -> np.ndarray:
 
 
 def token_count_arrow(arr) -> np.ndarray:
-    """Per-row token count straight from the Arrow buffer — counts token
-    STARTS (word-run starts + punct bytes) without computing token hashes:
-    ~13× less work than full tokenization, 2× faster than per-row regex.
+    """Per-row token count straight from the Arrow buffer: the token starts
+    of :func:`_token_boundaries` per row, without computing token hashes.
     Non-ASCII rows fall back to the regex (byte-level classes would count
     each UTF-8 continuation byte as a token; TOKEN_RE counts characters).
     Identity with ``token_counts`` is fuzz-tested."""
     data, roff = arrow_string_bytes(arr)
     n_rows = roff.shape[0] - 1
-    out = np.zeros(n_rows, dtype=np.int64)
-    n = data.shape[0]
-    if n == 0 or n_rows == 0:
-        return out
-    lens = np.diff(roff)
-    nonempty = lens > 0
-    ascii_rows = np.ones(n_rows, dtype=bool)
-    if nonempty.any():
-        seg_starts = roff[:-1][nonempty].astype(np.int64)
-        ascii_rows[nonempty] = np.maximum.reduceat(data, seg_starts) < 128
-
-    cls = _BYTE_CLASS[data]
-    word = cls == 1
-    prev_word = np.zeros(n, dtype=bool)
-    prev_word[1:] = word[:-1]
-    starts_r = roff[:-1][roff[:-1] < n]
-    prev_word[starts_r] = False
-    is_start = (word & ~prev_word) | (cls == 2)
-    # reduceat must run over ALL non-empty rows — a reduceat over only the
-    # ASCII subset would extend each segment across the bytes of skipped
-    # (non-ASCII) rows; mask afterwards instead
-    if nonempty.any():
-        counts_all = np.zeros(n_rows, dtype=np.int64)
-        counts_all[nonempty] = np.add.reduceat(
-            is_start.astype(np.int64), roff[:-1][nonempty].astype(np.int64)
-        )
-        counted = nonempty & ascii_rows
-        out[counted] = counts_all[counted]
-    fb = np.nonzero(~ascii_rows & nonempty)[0]
-    for r in fb:
+    if data.shape[0] == 0:
+        return np.zeros(n_rows, dtype=np.int64)
+    ascii_rows, _, _, start_offsets = _token_boundaries(data, roff)
+    out = np.diff(start_offsets)
+    for r in np.flatnonzero(~ascii_rows):
         seg = data[roff[r] : roff[r + 1]].tobytes()
         out[r] = len(TOKEN_RE.findall(seg.decode("utf-8", errors="replace")))
     return out
 
 
-def _poly_combine(tok_hash: np.ndarray, k: int) -> np.ndarray:
-    """Polynomial combine of every length-k window of a flat uint64 array.
-
-    Returns one value per window start (``len - k + 1`` values), computed with
-    k vectorized multiply-adds (k is small: 5 or 16) and a final splitmix64.
-    """
-    n = tok_hash.shape[0]
-    m = n - k + 1
+def _poly_windows(tok_hash: np.ndarray, k: int) -> np.ndarray:
+    """Unfinalized polynomial combine of every length-k window of a flat
+    uint64 array: one value per window start (``len - k + 1`` values), from
+    k − 1 in-place multiply-adds over one accumulator (k is small: 5 or 16).
+    ``mix64(value, seed=k)`` is the window's hash."""
+    m = tok_hash.shape[0] - k + 1
     if m <= 0:
         return np.empty(0, dtype=_U64)
+    acc = tok_hash[:m].copy()
     with np.errstate(over="ignore"):
-        acc = np.zeros(m, dtype=_U64)
-        for j in range(k):
-            acc = acc * _POLY + tok_hash[j : m + j]
-    return mix64(acc, seed=k)
+        for j in range(1, k):
+            acc *= _POLY
+            acc += tok_hash[j : m + j]
+    return acc
 
 
 def shingles(
@@ -368,8 +379,11 @@ def shingles(
 ) -> tuple[np.ndarray, np.ndarray]:
     """k-gram shingle hashes per row, fully vectorized across the batch.
 
-    Windows are computed over the *flat* token-hash array, then windows that
-    cross a row boundary are masked out. With ``short_row_fallback`` (the
+    Windows are combined over the *flat* token-hash array; one mask then
+    drops the windows that cross a row end (the last k − 1 starts before
+    each row end), and only the kept windows are finalized. They are
+    already in output order, so they are the output as they stand unless a
+    short row needs a slot between them. With ``short_row_fallback`` (the
     default), rows shorter than ``k`` (but non-empty) contribute a single
     whole-row shingle — the fallback for 1-token files (FIXTURES.md §1 edge
     rows); with it off, short rows contribute nothing (the w-gram semantics
@@ -378,10 +392,6 @@ def shingles(
     Returns (flat shingle hashes, shingle offsets per row).
     """
     n_rows = offsets.shape[0] - 1
-    n = tok_hash.shape[0]
-    win = _poly_combine(tok_hash, k)  # one per flat window start
-    m = win.shape[0]
-
     row_lens = np.diff(offsets)
     # number of shingles per row: len-k+1 if len>=k, 1 if 0<len<k, 0 if empty
     short_n = 1 if short_row_fallback else 0
@@ -389,28 +399,30 @@ def shingles(
     sh_offsets = np.zeros(n_rows + 1, dtype=np.int64)
     np.cumsum(per_row, out=sh_offsets[1:])
 
-    out = np.empty(sh_offsets[-1], dtype=_U64)
+    win = _poly_windows(tok_hash, k)  # one per flat window start
+    m = win.shape[0]
+    if m > 0 and k > 1:
+        valid = np.ones(m, dtype=bool)
+        row_starts, row_ends = offsets[:-1], offsets[1:]
+        for j in range(1, k):
+            cut = row_ends - j
+            valid[cut[(cut >= row_starts) & (cut < m)]] = False
+        win = win[valid]
+    win ^= _U64(k)  # mix64(win, seed=k), in place
+    splitmix64_inplace(win)
 
-    if m > 0:
-        # valid window starts: start in [offsets[r], offsets[r+1]-k] for row r
-        starts = np.arange(m, dtype=np.int64)
-        row_of = np.repeat(np.arange(n_rows, dtype=np.int64), row_lens)[:m]
-        valid = starts + k <= offsets[row_of + 1]
-        long_rows = row_lens >= k
-        # destinations: rows with len>=k take their windows in order
-        if long_rows.any():
-            vs = starts[valid]
-            # position within row + row's output offset
-            vrow = row_of[valid]
-            dest = sh_offsets[vrow] + (vs - offsets[vrow])
-            out[dest] = win[vs]
-
-    # short non-empty rows: one whole-row polynomial shingle each (rare path)
     short = (
         np.nonzero((row_lens > 0) & (row_lens < k))[0]
         if short_row_fallback
         else np.empty(0, np.int64)
     )
+    if not short.shape[0]:
+        return win, sh_offsets
+    # short non-empty rows: one whole-row polynomial shingle each (rare path)
+    out = np.empty(sh_offsets[-1], dtype=_U64)
+    slot = np.ones(out.shape[0], dtype=bool)
+    slot[sh_offsets[short]] = False
+    out[slot] = win
     for r in short:
         seg = tok_hash[offsets[r] : offsets[r + 1]]
         with np.errstate(over="ignore"):
@@ -421,6 +433,18 @@ def shingles(
     return out, sh_offsets
 
 
+def _truncate_mask(offsets: np.ndarray, max_len: int) -> tuple[np.ndarray | None, np.ndarray]:
+    """(keep mask over the flat elements, new offsets) that clip every row to
+    its first ``max_len`` elements; the mask is None when no row is longer."""
+    lens = np.diff(offsets)
+    if not (lens > max_len).any():
+        return None, offsets
+    new_offsets = np.zeros_like(offsets)
+    np.cumsum(np.minimum(lens, max_len), out=new_offsets[1:])
+    keep = np.arange(offsets[-1]) - np.repeat(offsets[:-1], lens) < max_len
+    return keep, new_offsets
+
+
 def truncate_rows(flat: np.ndarray, offsets: np.ndarray, max_len: int) -> tuple[np.ndarray, np.ndarray]:
     """Clip every row segment to its first ``max_len`` elements (vectorized).
 
@@ -428,14 +452,8 @@ def truncate_rows(flat: np.ndarray, offsets: np.ndarray, max_len: int) -> tuple[
     straggler task. Mirrors the reference's partial-hash idea (signature from
     a bounded prefix, ``DuplicateByHashFinder.cs:42-44``).
     """
-    lens = np.diff(offsets)
-    if not (lens > max_len).any():
-        return flat, offsets
-    new_lens = np.minimum(lens, max_len)
-    new_offsets = np.zeros_like(offsets)
-    np.cumsum(new_lens, out=new_offsets[1:])
-    keep = np.arange(flat.shape[0]) - np.repeat(offsets[:-1], lens) < max_len
-    return flat[keep], new_offsets
+    keep, new_offsets = _truncate_mask(offsets, max_len)
+    return (flat, offsets) if keep is None else (flat[keep], new_offsets)
 
 
 def unique_per_row(

@@ -43,7 +43,7 @@ import pyarrow as pa
 import ray
 import ray.data
 
-from europa_ray.functions.text import shingles, tokenize_arrow
+from europa_ray.functions.text import shingles, span_hashes, tokenize_arrow
 
 # The (doc, pos) occurrence key is a 12-byte big-endian binary string:
 # 8 bytes of the id biased by +2^63 into uint64 space, then 4 bytes of the
@@ -262,25 +262,6 @@ def _covered_token_mask(
     return np.cumsum(delta[:-1]) > 0
 
 
-def _hash_tokens_from_spans(
-    data: np.ndarray, s: np.ndarray, e: np.ndarray
-) -> np.ndarray:
-    """Token hashes from byte spans — identical values to tokenize_bytes
-    (same head/tail/length finalization), guaranteeing the rewrite's gram
-    positions align with its token spans row-for-row."""
-    from europa_ray.functions.text import _LEN_MASKS, _finalize_token_hash
-
-    n = data.shape[0]
-    lens = (e - s).astype(np.int64)
-    tl = np.minimum(lens, 8)
-    padded = np.zeros(n + 8, dtype=np.uint8)
-    padded[:n] = data
-    over = np.ndarray(buffer=padded, dtype=np.uint64, shape=(n + 1,), strides=(1,))
-    head = over[s] & _LEN_MASKS[tl]
-    tail = over[e - tl] & _LEN_MASKS[tl]
-    return _finalize_token_hash(head, tail, lens.astype(np.uint64))
-
-
 def _rebuild_rows(
     data: np.ndarray,
     roff: np.ndarray,
@@ -462,7 +443,7 @@ def dedup_spans_rewrite(
                 return np.empty(0, dtype=np.int64)
             from europa_ray.functions.text import shingles
 
-            th = _hash_tokens_from_spans(data, s, e)
+            th = span_hashes(data, s, e)
             gh, goff = shingles(th, toff, w, short_row_fallback=False)
             ids = batch[id_col].to_numpy()
             n_per = np.diff(goff)

@@ -42,7 +42,7 @@ import ray.data
 from europa_ray.config import DEFAULT_CONFIG, EngineConfig
 from europa_ray.stages.filters import apply_filters
 from europa_ray.stages.lsh import PAIRS_SCHEMA, candidate_pairs
-from europa_ray.stages.signatures import signatures
+from europa_ray.stages.signatures import signature_task, signatures
 from europa_ray.state.unionfind import (
     component_label_arrays,
     components_dense,
@@ -97,6 +97,16 @@ def near_dup_pipeline(
     # the signature table is consumed twice (pairs + member assembly):
     # materialize once so the signature tasks do not rerun per consumer
     sigs = sigs.materialize()
+    if sigs.schema() is None:
+        # every block was empty (the filters dropped every row): Ray's
+        # map_batches skips zero-row blocks, so none has the signature
+        # columns; sign one empty block for them
+        sigs = ray.data.from_arrow(
+            signature_task(
+                _empty_files(files, id_cols), cfg, id_cols, compute_fuzzy=False,
+                compute_minhash=need_minhash,
+            )
+        )
 
     pairs, aux = candidate_pairs(
         sigs, cfg, num_partitions=num_partitions, return_aux=True,
@@ -162,6 +172,15 @@ def near_dup_pipeline(
         # count) cannot re-run the counting map and double-report
         clusters = progress.count_stage(clusters, "cluster_rows").materialize()
     return {"pairs": pairs, "clusters": clusters}
+
+
+def _empty_files(files: ray.data.Dataset, id_cols: tuple[str, ...]) -> pa.Table:
+    """A zero-row files table with the input's id and content columns
+    (strings when the input schema is unknown)."""
+    schema = files.schema()
+    if schema is not None:
+        return schema.base_schema.empty_table()
+    return pa.table({c: pa.array([], pa.string()) for c in (*id_cols, "content")})
 
 
 JACCARD_SCHEMA = pa.schema(

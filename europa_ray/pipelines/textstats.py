@@ -20,7 +20,6 @@ from europa_ray.functions.text import (
     arrow_string_bytes,
     token_count_arrow,
     tokenize_arrow,
-    truncate_rows,
 )
 from europa_ray.util import mix64, splitmix64
 
@@ -314,8 +313,7 @@ def lang_id_batch(batch: pa.Table, text_col: str = "text") -> pa.Table:
     if isinstance(col, pa.ChunkedArray):
         col = col.combine_chunks()
     lowered = pc.utf8_lower(col)
-    th, off = tokenize_arrow(lowered)
-    th, off = truncate_rows(th, off, _MAX_LANG_TOKENS)
+    th, off = tokenize_arrow(lowered, _MAX_LANG_TOKENS)
     n_rows = off.shape[0] - 1
     lens = np.diff(off)
     nonempty = lens > 0

@@ -25,13 +25,13 @@ def add_sha256(batch: pa.Table, *, drop_content: bool = True, keep_cols=None) ->
     size = pc.utf8_length(batch["content"]).cast(pa.int64())
     out = batch.append_column("sha256", pa.array(hashes, type=pa.string()))
     out = out.append_column("size", size)
-    out = out.filter(pc.is_valid(out["sha256"]))
     if drop_content:
+        # project before filtering: the filter then never copies file bodies
         cols = [c for c in out.column_names if c != "content"]
         if keep_cols is not None:
             cols = [c for c in cols if c in set(keep_cols) | {"sha256", "size"}]
         out = out.select(cols)
-    return out
+    return out.filter(pc.is_valid(out["sha256"])) if out["sha256"].null_count else out
 
 
 def add_prefix_key(batch: pa.Table) -> pa.Table:

@@ -383,7 +383,8 @@ def _bucket_pair_keys(
     """Vectorized in-memory per-bucket pairing of a (band_key, node index)
     stream — the in-memory twin of ``_pair_nodes_group`` (same
     unique-nodes, all-pairs ≤ ``max_band_size``, distance-major window
-    beyond, per-bucket ``max_pairs_per_band`` cap) — returning the sorted
+    beyond, and the same ``max_pairs_per_band`` cap on every bucket,
+    keeping its first pairs in emission order) — returning the sorted
     distinct pair keys ``a * n_nodes + b`` (a < b; uint64, so below 2^32
     nodes). Runs inside ``_pair_partition_worker`` tasks
     (one hash partition each) so the sort cost scales with CPUs.
@@ -412,7 +413,7 @@ def _bucket_pair_keys(
 
     max_band, band_cap = _pair_limits(cfg)
     small = sizes <= max_band
-    proj = int((sizes[small] * (sizes[small] - 1) // 2).sum()) + int(
+    proj = int(np.minimum(sizes[small] * (sizes[small] - 1) // 2, band_cap).sum()) + int(
         np.minimum(sizes[~small] * cfg.pair_window, band_cap).sum()
     )
     if proj > max_pairs:
@@ -425,6 +426,7 @@ def _bucket_pair_keys(
     for s in np.unique(sizes[active]):
         seg = nk[starts[active & (sizes == s)][:, None] + np.arange(s)]  # (buckets, s)
         iu, ju = np.triu_indices(int(s), k=1)
+        iu, ju = iu[:band_cap], ju[:band_cap]  # the first pairs in triu order
         out.append((seg[:, iu] * mult + seg[:, ju]).ravel())
     for st, s in zip(starts[~small], sizes[~small]):
         seg = nk[st : st + s]

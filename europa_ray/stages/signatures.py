@@ -1,16 +1,21 @@
-"""Signature stage — per-worker cached state, one task-based shape.
+"""Signature stage — per-worker cached state, one fused task per read block.
 
 Per-worker state (built once, like the DCT coefficient matrix in the static
 ctor of Europa's ``ImageHashs/PerceptualHash.cs``): the 128 MinHash
 permutation seeds and the engine config, held in a module cache once per
-Ray worker process (see :func:`signature_task`). Per batch: sha256,
-tokenize (token-capped), 5-gram shingles, then MinHash-128 over the
-shingle stream as it comes — a per-slot minimum ignores repeats, so the
-bag's signature is the set's bit for bit. Only a set-weighted 64-bit fuzzy
-kernel (SimHash) sorts the stream into a per-row set first. All
-NumPy-vectorized over flat token/shingle arrays with private-L2-sized
-chunks. Content is dropped from the output so no downstream shuffle ever
-moves file bodies.
+Ray worker process (see :func:`signature_task`). The stage maps whole
+blocks, so Ray fuses it into the read: each read task decodes its block
+and signs it at once, and file bodies never pass through the object store.
+Per block: sha256 per row, then the kernels over chunks of about
+``SIGN_CHUNK_BYTES`` of content, so their per-byte and per-token
+temporaries stay near cache size: token boundaries (uint8 byte classes),
+token hashes (only the ``max_sig_tokens`` each row keeps), 5-gram
+shingles, then MinHash-128 over the shingle stream as it comes — a
+per-slot minimum ignores repeats, so the bag's signature is the set's bit
+for bit. Only a set-weighted 64-bit fuzzy kernel (SimHash) sorts the
+stream into a per-row set first. Every kernel is per row, so the chunking
+does not change a signature. Content is dropped from the output so no
+downstream shuffle ever moves file bodies.
 """
 
 from __future__ import annotations
@@ -24,11 +29,15 @@ from europa_ray.functions.sig import (
     minhash_signatures,
     minhash_signatures_oph,
 )
-from europa_ray.functions.text import shingles, tokenize_arrow, truncate_rows, unique_per_row
-from europa_ray.util import hex_to_u64, sha256_hex_arrow
+from europa_ray.functions.text import arrow_string_bytes, shingles, tokenize_bytes, unique_per_row
+from europa_ray.util import hex_to_u64_arrow, sha256_hex_arrow
 
 SIG_DTYPE = np.uint32  # low 32 bits of each minhash slot: halves shuffle
 # volume; P(component collision) = 2^-32, immaterial for Jaccard estimates.
+
+# content bytes the kernels take at a time: their per-byte and per-token
+# temporaries then stay near cache size whatever the block size
+SIGN_CHUNK_BYTES = 1 << 20
 
 
 class SignatureStage:
@@ -58,13 +67,42 @@ class SignatureStage:
         self.fuzzy_ordered = signature_order_sensitive(cfg.fuzzy_algo)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        cfg = self.cfg
         content = batch["content"]
+        if isinstance(content, pa.ChunkedArray):
+            content = content.combine_chunks()
         sha = sha256_hex_arrow(content)
         keep = np.array([h is not None for h in sha], dtype=bool)
 
-        th, off = tokenize_arrow(content)
-        th, off = truncate_rows(th, off, cfg.max_sig_tokens)
+        data, roff = arrow_string_bytes(content)
+        parts = [
+            self._sign(data[roff[r0] : roff[r1]], roff[r0 : r1 + 1] - roff[r0])
+            for r0, r1 in byte_chunks(roff, SIGN_CHUNK_BYTES)
+        ]
+        n_tokens, sig, sim = (
+            np.concatenate(col) if col[0] is not None else None for col in zip(*parts)
+        )
+
+        sha_kept = pa.array([h for h in sha if h is not None], pa.string())
+        cols: dict[str, pa.Array] = {}
+        for c in self.id_cols:
+            if c in batch.column_names:
+                cols[c] = batch[c].filter(pa.array(keep))
+        cols["sha256"] = sha_kept
+        # int64 bit-view: Ray groupby/join keys must be int64 (uint64 columns
+        # degrade to pickled-object extension arrays in shuffles)
+        cols["node"] = pa.array(hex_to_u64_arrow(sha_kept).view(np.int64))
+        cols["n_tokens"] = pa.array(n_tokens[keep])
+        if sig is not None:
+            cols["minhash"] = pack_sigs(sig[keep])
+        if sim is not None:
+            cols["simhash"] = pa.array(sim[keep].view(np.int64))
+        return pa.table(cols)
+
+    def _sign(self, data: np.ndarray, roff: np.ndarray):
+        """(token counts, MinHash matrix, fuzzy hashes) of one byte chunk's
+        rows; a skipped kernel gives None."""
+        cfg = self.cfg
+        th, off = tokenize_bytes(data, roff, cfg.max_sig_tokens)
         sh, soff = shingles(th, off, cfg.shingle_k)
         # MinHash reads the shingle bag: the per-slot minimum ignores repeats
         if not self.compute_minhash:
@@ -79,25 +117,18 @@ class SignatureStage:
             sim = self.fuzzy_fn(sh, soff)
         else:
             sim = self.fuzzy_fn(*unique_per_row(sh, soff))
-        n_tokens = np.diff(off)
+        return np.diff(off), sig, sim
 
-        sha_kept = [h for h in sha if h is not None]
-        # int64 bit-view: Ray groupby/join keys must be int64 (uint64 columns
-        # degrade to pickled-object extension arrays in shuffles)
-        node = hex_to_u64(sha_kept).view(np.int64)
 
-        cols: dict[str, pa.Array] = {}
-        for c in self.id_cols:
-            if c in batch.column_names:
-                cols[c] = batch[c].filter(pa.array(keep))
-        cols["sha256"] = pa.array(sha_kept, pa.string())
-        cols["node"] = pa.array(node)
-        cols["n_tokens"] = pa.array(n_tokens[keep])
-        if sig is not None:
-            cols["minhash"] = pack_sigs(sig[keep])
-        if sim is not None:
-            cols["simhash"] = pa.array(sim[keep].view(np.int64))
-        return pa.table(cols)
+def byte_chunks(row_offsets: np.ndarray, chunk_bytes: int) -> list[tuple[int, int]]:
+    """Row ranges ``[r0, r1)`` that cut rows with the given byte offsets into
+    runs of about ``chunk_bytes``: a new run starts at the first row that
+    starts in the next ``chunk_bytes`` window, so a row longer than the
+    window is a run of its own. At least one (possibly empty) run."""
+    starts = row_offsets[:-1] // chunk_bytes
+    cuts = (np.flatnonzero(starts[1:] != starts[:-1]) + 1).tolist()
+    bounds = [0, *cuts, row_offsets.shape[0] - 1]
+    return list(zip(bounds[:-1], bounds[1:]))
 
 
 _STAGE_CACHE: dict[tuple, SignatureStage] = {}
@@ -136,7 +167,10 @@ def signatures(
     """Attach the signature stage to a files Dataset: :func:`signature_task`
     over warm shared task workers with per-process cached permutation state
     (a dedicated actor pool's startup cost outweighs this stage's tiny seed
-    table)."""
+    table). No ``batch_size``: Ray 2.49 never fuses a read, which may change
+    row counts, into a map that asks for a minimum batch, so the map takes
+    whole blocks and runs inside the read task; the task cuts its block
+    into kernel chunks itself."""
     return files.map_batches(
         signature_task,
         fn_kwargs={
@@ -145,7 +179,6 @@ def signatures(
             "compute_fuzzy": compute_fuzzy,
             "compute_minhash": compute_minhash,
         },
-        batch_size=cfg.batch_size,
         batch_format="pyarrow",
     )
 

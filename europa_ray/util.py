@@ -44,6 +44,23 @@ def splitmix64(x: np.ndarray | int) -> np.ndarray | np.uint64:
         return z ^ (z >> _U64(31))
 
 
+def splitmix64_inplace(z: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+    """:func:`splitmix64` of a uint64 array written over ``z`` itself, with
+    one scratch array of ``z``'s shape (allocated when not given): the same
+    values without the finalizer's five full-size temporaries. Returns ``z``."""
+    if scratch is None:
+        scratch = np.empty_like(z)
+    with np.errstate(over="ignore"):
+        z += _GOLDEN
+        for shift, mult in ((30, _MIX1), (27, _MIX2)):
+            np.right_shift(z, _U64(shift), out=scratch)
+            z ^= scratch
+            z *= mult
+        np.right_shift(z, _U64(31), out=scratch)
+        z ^= scratch
+    return z
+
+
 def mix64(x: np.ndarray, seed: int | np.uint64 = 0) -> np.ndarray:
     """Seeded 64-bit mix: ``splitmix64(x ^ seed)`` (vectorized)."""
     return splitmix64(np.asarray(x, dtype=_U64) ^ _U64(seed))
@@ -98,16 +115,10 @@ def sha256_hex_arrow(col) -> list[str | None]:
         return []
     off_dtype = np.int64 if pa.types.is_large_string(col.type) else np.int32
     bufs = col.buffers()
-    offs = np.frombuffer(bufs[1], dtype=off_dtype)[col.offset : col.offset + n + 1]
+    offs = np.frombuffer(bufs[1], dtype=off_dtype)[col.offset : col.offset + n + 1].tolist()
     mv = memoryview(bufs[2])
-    out: list[str | None] = []
-    for i in range(n):
-        s, e = offs[i], offs[i + 1]
-        if e == s:
-            out.append(None)
-        else:
-            out.append(hashlib.sha256(mv[s:e]).hexdigest())
-    return out
+    sha = hashlib.sha256
+    return [sha(mv[s:e]).hexdigest() if e > s else None for s, e in zip(offs, offs[1:])]
 
 
 def sha256_prefix_hex_arrow(col, fraction: float = 0.1) -> list[str | None]:

@@ -385,6 +385,22 @@ def test_pipeline_on_fully_filtered_input(ray_session, tiny_corpus):
         assert _one_table(out["clusters"]).num_rows == 0
 
 
+def test_fully_filtered_corpus_gives_typed_empty_clusters(ray_session, tiny_corpus):
+    """A corpus the filters empty gives zero cluster rows with the normal
+    cluster columns and types, not a table without columns."""
+    import ray.data
+
+    from europa_ray.config import EngineConfig
+    from europa_ray.pipelines.neardup import near_dup_pipeline
+
+    files = ray.data.read_parquet(tiny_corpus)
+    want = _one_table(near_dup_pipeline(files, EngineConfig())["clusters"]).schema
+    out = near_dup_pipeline(files, EngineConfig(include_langs=("no-such-lang",)))
+    got = out["clusters"].materialize()
+    assert got.count() == 0
+    assert got.schema().base_schema == want
+
+
 def test_assembly_ignores_empty_signature_blocks(ray_session, tiny_corpus):
     """Zero-row signature blocks, with the signature columns or with none
     (as Ray join outputs emit them), add no rows or columns to the

@@ -172,21 +172,33 @@ def test_verify_memory_stays_bounded(ray_session):
 
 
 def _raw_bucket_pairs(bk, nd, cfg):
-    """Every bucket's raw pairs, one bucket at a time, concatenated: all
+    """Every bucket's raw pairs, one bucket at a time, concatenated: what
+    the inline path's per-bucket pairer ``_pair_nodes_group`` emits (all
     pairs of its distinct nodes up to ``max_band_size``, beyond it the
-    distance-major window capped at ``max_pairs_per_band``."""
+    distance-major window; every bucket capped at ``max_pairs_per_band``)."""
     out_a, out_b = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
     for key in np.unique(bk):
-        nodes = np.unique(nd[bk == key])
-        n = nodes.shape[0]
-        if n <= cfg.max_band_size:
-            iu, ju = np.triu_indices(n, k=1)
-        else:
-            pairs = [(i, i + d) for d in range(1, cfg.pair_window + 1) for i in range(n - d)]
-            iu, ju = np.array(pairs[: cfg.max_pairs_per_band], np.int64).reshape(-1, 2).T
-        out_a.append(nodes[iu])
-        out_b.append(nodes[ju])
+        t = lsh._pair_nodes_group(pa.table({"node": nd[bk == key]}), cfg)
+        out_a.append(t["a"].to_numpy())
+        out_b.append(t["b"].to_numpy())
     return np.concatenate(out_a), np.concatenate(out_b)
+
+
+def test_both_pairers_cap_every_bucket():
+    """A bucket of 3 nodes under ``max_band_size=3`` and
+    ``max_pairs_per_band=1`` gives its first triu pair on both dispatch
+    paths, and the projection counts the capped pairs."""
+    cfg = EngineConfig(max_band_size=3, max_pairs_per_band=1)
+    bk = np.array([7, 7, 7, 9, 9], np.int64)
+    nd = np.array([4, 2, 0, 1, 3], np.int64)
+    want = lsh.dedupe_pair_arrays(*_raw_bucket_pairs(bk, nd, cfg))
+    np.testing.assert_array_equal(want[0], [0, 1])
+    np.testing.assert_array_equal(want[1], [2, 3])
+    for n_parts in (1, 2):
+        got = _partition_pairs(bk, nd, 5, cfg, n_parts)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+    assert lsh._bucket_pair_keys(bk, nd, 5, cfg, 1) == 2  # min(3, 1) + min(1, 1)
 
 
 def _partition_pairs(bk, nd, n_nodes, cfg, n_parts):
