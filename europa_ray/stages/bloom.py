@@ -141,7 +141,7 @@ def build_bloom(
 
     m_bits, n_hashes = bloom_params(n_keys, bits_per_key)
 
-    from europa_ray.util import dataset_block_refs
+    from europa_ray.util import dataset_block_refs, remote_fn
 
     refs = dataset_block_refs(digests_ds)
     if not refs:
@@ -152,8 +152,8 @@ def build_bloom(
     groups: list[list] = [refs[i::leaf_tasks] for i in range(min(leaf_tasks, len(refs)))]
     groups = [g for g in groups if g]
 
-    leaf = ray.remote(num_cpus=1)(_block_bitmap)
-    orer = ray.remote(num_cpus=1)(_or_pair)
+    leaf = remote_fn(_block_bitmap)
+    orer = remote_fn(_or_pair)
     parts = [leaf.remote(g, m_bits, n_hashes, sha_col) for g in groups]
     while len(parts) > 1:  # binary tree OR-reduce
         nxt = [

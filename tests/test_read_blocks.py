@@ -121,3 +121,150 @@ def test_answers_invariant_to_block_count(ray_session, tiny_corpus, monkeypatch)
     assert ea.num_rows > 0 and na.num_rows > 0
     assert ea.equals(eb)
     assert na.equals(nb)
+
+
+def _part(i: int, n: int = 4):
+    import pyarrow as pa
+
+    return pa.table(
+        {
+            "repo": [f"r{i}"] * n,
+            "path": [f"p{i}_{j}.py" for j in range(n)],
+            "content": [f"body {i} {j}" for j in range(n)],
+        }
+    )
+
+
+@pytest.fixture(scope="module")
+def layouts(tmp_path_factory):
+    """A directory with sidecars (``_SUCCESS``, a ``.crc`` file, ``_tmp/``
+    and ``.hidden/`` shards) and a nested subdirectory, and a hive layout."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    root = tmp_path_factory.mktemp("layouts")
+    flat = root / "flat"
+    for sub in ("sub/deeper", "_tmp", ".hidden"):
+        (flat / sub).mkdir(parents=True)
+    pq.write_table(_part(0), flat / "a.parquet")
+    pq.write_table(_part(1, 7), flat / "b.parquet")
+    pq.write_table(_part(2), flat / "sub" / "c.parquet")
+    pq.write_table(_part(3, 2), flat / "sub" / "deeper" / "d.parquet")
+    pq.write_table(_part(8), flat / "_tmp" / "x.parquet")
+    pq.write_table(_part(9), flat / ".hidden" / "y.parquet")
+    (flat / "_SUCCESS").write_bytes(b"")
+    (flat / ".a.parquet.crc").write_bytes(b"crc")
+    hive = root / "hive"
+    for i, lang in enumerate(("py", "rs", "go")):
+        (hive / f"lang={lang}").mkdir(parents=True)
+        pq.write_table(_part(4 + i), hive / f"lang={lang}" / "part-0.parquet")
+    # numeric data columns; a hive value that reads as a string
+    typed = root / "typed" / "year=2020"
+    typed.mkdir(parents=True)
+    pq.write_table(
+        _part(7).append_column("doc_id", pa.array([3, 1, 2, 0], pa.int64())),
+        typed / "part-0.parquet",
+    )
+    return str(flat), str(hive), str(root / "typed")
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["dir", "dir/", "file", "list", "columns", "hive", "hive-file", "file-uri", "typed"],
+)
+def test_reader_matches_read_parquet(ray_session, layouts, case, monkeypatch):
+    """``read_files`` reads what ``ray.data.read_parquet`` reads: the same
+    table, schema and row order included, and ``schema()`` names it
+    without running the read. Both reads keep their blocks in task order
+    (concurrent read tasks otherwise finish in any order)."""
+    import ray.data
+
+    from europa_ray.sources.files import read_files
+
+    options = ray.data.DataContext.get_current().execution_options
+    monkeypatch.setattr(options, "preserve_order", True)
+
+    flat, hive, typed = layouts
+    path, columns = {
+        "dir": (flat, None),
+        "dir/": (flat + "/", None),
+        "file": (os.path.join(flat, "b.parquet"), None),
+        "list": ([os.path.join(flat, "sub", "c.parquet"), os.path.join(flat, "a.parquet")], None),
+        "columns": (flat, ["content", "repo"]),
+        "hive": (hive, None),
+        "hive-file": (os.path.join(hive, "lang=rs", "part-0.parquet"), None),
+        "file-uri": ("file://" + flat, None),
+        "typed": (typed, None),
+    }[case]
+    got = read_files(path, columns=columns)
+    planned = got.schema().base_schema
+    got = collect(got)
+    want = collect(ray.data.read_parquet(path, columns=columns))
+    assert got.schema == want.schema == planned
+    assert got.equals(want)
+    assert got.num_rows == {"file": 7, "hive-file": 4, "list": 8, "hive": 12, "typed": 4}.get(
+        case, 17
+    )
+
+
+def test_reader_missing_path_raises(ray_session, tmp_path):
+    from europa_ray.sources.files import read_files
+
+    with pytest.raises(FileNotFoundError):
+        read_files(str(tmp_path / "nope"))
+
+
+def test_reader_file_without_a_column_raises(ray_session, tmp_path):
+    """A file that lacks a column of the dataset schema fails the read
+    instead of reading as nulls."""
+    import pyarrow.parquet as pq
+
+    from europa_ray.sources.files import read_files
+
+    pq.write_table(_part(0), tmp_path / "a.parquet")
+    pq.write_table(_part(1).drop_columns(["content"]), tmp_path / "b.parquet")
+    with pytest.raises(Exception, match="has no column"):
+        read_files(str(tmp_path)).materialize()
+
+
+def test_building_the_read_submits_no_task(ray_session, layouts, monkeypatch):
+    """Planning the read and asking its schema start no Ray task (Ray's
+    Parquet reader runs sampling tasks here)."""
+    from ray.remote_function import RemoteFunction
+
+    from europa_ray.sources.files import read_files
+
+    calls = []
+    submit = RemoteFunction._remote
+
+    def counted(self, *args, **kwargs):
+        calls.append(self)
+        return submit(self, *args, **kwargs)
+
+    monkeypatch.setattr(RemoteFunction, "_remote", counted)
+    ds = read_files(layouts[0])
+    assert ds.schema().names == ["repo", "path", "content"]
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "sizes,n",
+    [([5] * 8, 4), ([1, 1, 1, 100], 2), ([100, 1, 1, 1], 3), ([3, 9, 1], 8), ([7], 4), ([], 2),
+     ([1] * 10, 1), ([50, 0, 0, 50], 2)],
+)
+def test_byte_runs_contiguous_nonempty(sizes, n):
+    from europa_ray.sources.files import _byte_runs
+
+    runs = _byte_runs(sizes, n)
+    assert len(runs) == min(n, len(sizes))
+    assert [lo for lo, _ in runs[1:]] == [hi for _, hi in runs[:-1]]
+    if sizes:
+        assert runs[0][0] == 0 and runs[-1][1] == len(sizes)
+    assert all(hi > lo for lo, hi in runs)
+
+
+def test_byte_runs_balance_bytes():
+    from europa_ray.sources.files import _byte_runs
+
+    assert _byte_runs([5] * 8, 4) == [(0, 2), (2, 4), (4, 6), (6, 8)]
+    assert _byte_runs([10, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1], 2) == [(0, 1), (1, 11)]

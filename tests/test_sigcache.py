@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 
 def _sig_key(df):
@@ -281,3 +283,44 @@ def test_cli_checkpoint_counters_and_identical_resume(ray_session, tiny_corpus, 
 
     d1, d2 = read_sorted(out1), read_sorted(out2)
     assert d1.equals(d2), "resumed run must reproduce identical clusters"
+
+
+_I64 = st.one_of(
+    st.integers(min_value=-3, max_value=3),  # many repeats: pairs collide
+    st.integers(min_value=-(2**63), max_value=2**63 - 1),
+    st.sampled_from([-(2**63), -(2**63) + 1, -1, 0, 2**63 - 2, 2**63 - 1]),
+)
+_PAIRS = st.lists(st.tuples(_I64, _I64), max_size=60)
+
+
+def _structured_known_mask(ca, cb, fa, fb):
+    """The field-by-field structured-key anti-join the packed key replaced."""
+    dtype = np.dtype([("a", "<i8"), ("b", "<i8")])
+
+    def keys(a, b):
+        k = np.empty(a.shape[0], dtype=dtype)
+        k["a"], k["b"] = a, b
+        return k
+
+    ck = np.unique(keys(ca, cb))
+    fk = keys(fa, fb)
+    if ck.shape[0] == 0:
+        return np.zeros(fk.shape[0], dtype=bool)
+    idx = np.searchsorted(ck, fk)
+    idx[idx >= ck.shape[0]] = 0
+    return ck[idx] == fk
+
+
+@settings(max_examples=300, deadline=None)
+@given(cached=_PAIRS, fresh=_PAIRS, reuse=st.integers(min_value=0, max_value=60))
+def test_known_pairs_mask_matches_structured_key(cached, fresh, reuse):
+    """The packed-key anti-join marks exactly the fresh pairs the structured
+    (a, b) key marks: negative and extreme ids, repeats, either side empty."""
+    from europa_ray.state.sigcache import known_pairs_mask
+
+    fresh = fresh + cached[:reuse]  # some fresh pairs are cached ones
+    ca, cb = (np.array([p[i] for p in cached], dtype=np.int64) for i in (0, 1))
+    fa, fb = (np.array([p[i] for p in fresh], dtype=np.int64) for i in (0, 1))
+    got = known_pairs_mask(ca, cb, fa, fb)
+    assert got.dtype == bool and got.shape == fa.shape
+    assert np.array_equal(got, _structured_known_mask(ca, cb, fa, fb))
