@@ -894,53 +894,6 @@ def _q_cross_repo_line_stats(sf_dir: str):
     return cross_repo_line_stats(with_code_docs(_docs(sf_dir)))
 
 
-def _q_doc_chunks(sf_dir: str):
-    """Fixed-size disjoint 16-token chunking plan (doc_id, chunk_idx,
-    n_tokens, chunk_sha) — one zero-copy Arrow re-offsetting pass."""
-    from europa_ray.pipelines.chunking import doc_chunks_batch
-
-    return _docs(sf_dir).map_batches(
-        doc_chunks_batch, fn_kwargs={"chunk_tokens": 16}, batch_format="pyarrow"
-    )
-
-
-def _q_chunk_dup_stats(sf_dir: str):
-    """Chunk-level dedup report over the versioned corpus: versioned docs
-    share every 16-token chunk except the edited tail, so the per-doc
-    duplicated-chunk counts quantify what doc-level dedup can't."""
-    from europa_ray.pipelines.chunking import chunk_dup_stats
-    from europa_ray.sources.augment import with_versions
-
-    return chunk_dup_stats(with_versions(_docs(sf_dir)), chunk_tokens=16)
-
-
-def _load_events(sf_dir: str):
-    import ray.data
-
-    return ray.data.read_parquet(os.path.join(sf_dir, "events.parquet"))
-
-
-def _q_windowed_event_counts(sf_dir: str):
-    """Tumbling 1-hour window aggregate over the events stream (the
-    windowed-aggregate custom-operator class): per (user, window) count +
-    integer-micro value sum — one multi-key groupby shuffle with map-side
-    combining."""
-    from europa_ray.pipelines.events import windowed_event_counts
-
-    return windowed_event_counts(_load_events(sf_dir))
-
-
-def _q_sliding_window_counts(sf_dir: str):
-    """Sliding (hopping) window aggregate — 1-hour windows every 15 min:
-    per (user, window) count + integer-micro value sum. Combiner-first
-    shape: per-batch (user, slide-bucket) partials exploded ×4 into the
-    windows they feed, one multi-key groupby — exchange independent of
-    per-bucket event count."""
-    from europa_ray.pipelines.events import sliding_window_counts
-
-    return sliding_window_counts(_load_events(sf_dir))
-
-
 def _q_top_docs_per_lang(sf_dir: str):
     """Per-language top-5 documents by token count (ties → min doc_id) —
     the K1 candidate-cap semantics as a first-class query; combiner-first
@@ -966,68 +919,6 @@ def _q_eval_sample_per_lang(sf_dir: str):
     from europa_ray.pipelines.topk import eval_sample_per_group
 
     return eval_sample_per_group(_docs(sf_dir), k=5)
-
-
-def _event_parity_filter(want: int):
-    """Vectorized odd/even event split shared by the join-shaped event
-    queries (Ray's filter-expr parser cannot parse %). NOTE: uses the low
-    BIT, which equals ``% 2`` only for non-negative ids — the synthetic
-    event_ids are non-negative, and the oracles' ``% 2 = 1`` predicate
-    matches under that invariant."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
-
-    def fn(batch: pa.Table) -> pa.Table:
-        keep = pc.equal(
-            pc.bit_wise_and(batch["event_id"], pa.scalar(1, pa.int64())),
-            pa.scalar(want, pa.int64()),
-        )
-        return batch.filter(keep)
-
-    return fn
-
-
-def _q_asof_prev_event(sf_dir: str):
-    """AS-OF join (trades⟕quotes shape): odd-id events (left) joined to
-    the latest even-id event time ≤ their own per user; -1 when none —
-    value-checked against DuckDB's native ASOF LEFT JOIN."""
-    from europa_ray.pipelines.events import asof_prev_ts
-
-    ev = _load_events(sf_dir)
-    left = ev.map_batches(_event_parity_filter(1), batch_format="pyarrow")
-    right = ev.map_batches(_event_parity_filter(0), batch_format="pyarrow")
-    return asof_prev_ts(left, right)
-
-
-def _q_range_join_counts(sf_dir: str):
-    """RANGE join, count-aggregated: per odd-id event, how many even-id
-    events of the same user lie within ±5 min — linear output (counts, not
-    pairs); value-checked against the SQL BETWEEN join."""
-    from europa_ray.pipelines.events import range_join_counts
-
-    ev = _load_events(sf_dir)
-    return range_join_counts(
-        ev.map_batches(_event_parity_filter(1), batch_format="pyarrow"),
-        ev.map_batches(_event_parity_filter(0), batch_format="pyarrow"),
-    )
-
-
-def _q_event_dedup_stats(sf_dir: str):
-    """Streaming debounce-dedup accounting: per (user, event_type), events
-    that follow the previous same-key event within 1 h (the LAG-gap rule of
-    at-least-once delivery dedup) — user-co-located vectorized map_groups."""
-    from europa_ray.pipelines.events import event_dedup_stats
-
-    return event_dedup_stats(_load_events(sf_dir))
-
-
-def _q_event_sessions(sf_dir: str):
-    """Gap-based sessionization (30-min inactivity): per-user co-located
-    vectorized map_groups; value-checked against the SQL lag+running-sum
-    window construction."""
-    from europa_ray.pipelines.events import sessionize_events
-
-    return sessionize_events(_load_events(sf_dir))
 
 
 def _q_near_dup_representatives(sf_dir: str):
@@ -1126,16 +1017,6 @@ def _q_quality_buckets(sf_dir: str):
     return quality_buckets(_docs(sf_dir))
 
 
-def _q_packing_plan(sf_dir: str):
-    """Sequence-packing plan (GPT-style concatenate-then-chunk layout):
-    every doc's global token offset and first 512-token sequence id in
-    canonical (sha256, doc_id) order — one windowed running sum in SQL;
-    driver lexsort+cumsum / metadata-sort + per-block prefix distributed."""
-    from europa_ray.pipelines.packing import packing_plan
-
-    return packing_plan(_docs(sf_dir), seq_len=512)
-
-
 def _q_decontam_stats(sf_dir: str):
     """Benchmark decontamination over the contamination-augmented corpus:
     per-doc count of distinct benchmark snippets contained (rolling-hash
@@ -1145,31 +1026,6 @@ def _q_decontam_stats(sf_dir: str):
 
     docs = _docs(sf_dir)
     return decontam_stats(with_contaminated_docs(docs), benchmark_snippets(docs))
-
-
-def _q_multimodal_features(sf_dir: str):
-    """Multimodal actor-pool PLUMBING, value-checked: the projection
-    (media_id, kind, error) pins exactly-once per-row fan-out through the
-    adapter + actor pool and the absence of spurious error routing — the
-    real Ray-side surface of this operator. The feature VALUES are excluded
-    from the oracle because decode is honestly stubbed (no codecs in the
-    sandbox; stages/multimodal.py); feature/error-routing behavior is
-    pytest-covered. error is null-filled to '' so the hash compare is
-    null-representation-independent."""
-    import pyarrow.compute as pc
-    import ray.data
-
-    from europa_ray.stages.multimodal import documents_as_media, media_features
-
-    docs = ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"))
-    media = docs.map_batches(documents_as_media, batch_format="pyarrow")
-    out = media_features(media).select_columns(["media_id", "kind", "error"])
-
-    def fill(b: pa.Table) -> pa.Table:
-        idx = b.column_names.index("error")
-        return b.set_column(idx, "error", pc.fill_null(b["error"], ""))
-
-    return out.map_batches(fill, batch_format="pyarrow")
 
 
 def _q_enumerated_docs(sf_dir: str):
@@ -1188,66 +1044,6 @@ def _q_enumerated_docs(sf_dir: str):
     )
     ordered = docs.sort(["lang", "doc_id"]).materialize()
     return add_global_row_index(ordered, index_col="row_index")
-
-
-def _q_audio_wav_stats(sf_dir: str):
-    """REAL-codec audio roundtrip, value-checked: documents → genuine
-    RIFF/WAVE synthesis (1 UTF-8 byte → 1 16-bit PCM sample at 8 kHz) →
-    actor-pool stdlib-``wave`` decode (an actual container parse — the one
-    codec present in this sandbox; round-5 recheck in BASELINE.md) →
-    per-lang aggregate of the DECODED frame counts. Matches the oracle only
-    if synthesis and decode round-trip exactly: decoded n_samples ≡
-    octet_length(text) and duration_us = samples·10⁶/8000 = samples·125.
-    Scale shape: decode is the per-row codec boundary (actor pool, small
-    batches); the aggregate combines in-batch to per-lang partials before
-    one tiny groupby — PCM never shuffles."""
-    import ray.data
-
-    from europa_ray.stages.multimodal import wav_stats
-
-    docs = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["doc_id", "lang", "text"],
-    )
-    st = wav_stats(docs)
-
-    def combine(b):
-        import pyarrow as _pa
-
-        df = b.select(["lang", "n_samples", "duration_us"]).to_pandas()
-        g = df.groupby("lang", as_index=False).agg(
-            n_docs=("n_samples", "size"),
-            total_samples=("n_samples", "sum"),
-            total_duration_us=("duration_us", "sum"),
-        )
-        return _pa.Table.from_pandas(g, preserve_index=False)
-
-    agg = (
-        st.map_batches(combine, batch_format="pyarrow")
-        .groupby("lang")
-        .sum(["n_docs", "total_samples", "total_duration_us"])
-        .rename_columns(
-            {
-                "sum(n_docs)": "n_docs",
-                "sum(total_samples)": "total_samples",
-                "sum(total_duration_us)": "total_duration_us",
-            }
-        )
-    )
-
-    def finish(b):
-        import pyarrow as _pa
-
-        return _pa.table(
-            {
-                "lang": b["lang"],
-                "n_docs": b["n_docs"].cast(_pa.int64()),
-                "total_samples": b["total_samples"].cast(_pa.int64()),
-                "total_duration_us": b["total_duration_us"].cast(_pa.int64()),
-            }
-        )
-
-    return agg.map_batches(finish, batch_format="pyarrow").sort("lang")
 
 
 def entry(sf_dir: str = "/root/testdata/sf0.001") -> Any:
@@ -1279,7 +1075,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # a ~50-entry prefix of this dict each round (r1-r4 evidence), so
         # rotation order IS the correctness-evidence schedule. Tail = the
         # 50 entries already hash-green in CORRECTNESS_r04.
-        "audio_wav_stats": wrap(_q_audio_wav_stats),
         "enumerated_docs": wrap(_q_enumerated_docs),
         "dedup_report": wrap(_q_dedup_report),
         "stopwords_per_lang": wrap(_q_stopwords_per_lang),
@@ -1295,21 +1090,14 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "identifier_stats": wrap(_q_identifier_stats),
         "top_identifiers": wrap(_q_top_identifiers),
         "cross_repo_line_stats": wrap(_q_cross_repo_line_stats),
-        "doc_chunks": wrap(_q_doc_chunks),
-        "chunk_dup_stats": wrap(_q_chunk_dup_stats),
-        "sliding_window_counts": wrap(_q_sliding_window_counts),
-        "asof_prev_event": wrap(_q_asof_prev_event),
-        "range_join_counts": wrap(_q_range_join_counts),
         "top_docs_per_lang": wrap(_q_top_docs_per_lang),
         "eval_sample_per_lang": wrap(_q_eval_sample_per_lang),
         "priority_sample": wrap(_q_priority_sample),
-        "event_dedup_stats": wrap(_q_event_dedup_stats),
         "split_assign": wrap(_q_split_assign),
         "dup_rate_by_lang": wrap(_q_dup_rate_by_lang),
         "length_outliers": wrap(_q_length_outliers),
         "mixture_sample": wrap(_q_mixture_sample),
         "temperature_sample": wrap(_q_temperature_sample),
-        "packing_plan": wrap(_q_packing_plan),
         "quality_buckets": wrap(_q_quality_buckets),
         # --- last driver-verified in r3; re-prove after r4 refactors ---
         "line_dup_stats": wrap(_q_line_dup_stats),
@@ -1319,8 +1107,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "pii_stats": wrap(_q_pii_stats),
         "pii_redacted": wrap(_q_pii_redacted),
         "near_dup_representatives": wrap(_q_near_dup_representatives),
-        "windowed_event_counts": wrap(_q_windowed_event_counts),
-        "event_sessions": wrap(_q_event_sessions),
         "hash_sample": wrap(_q_hash_sample),
         "token_budget_sample": wrap(_q_token_budget_sample),
         "decontam_stats": wrap(_q_decontam_stats),
@@ -1362,7 +1148,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "embedding_dup_pairs_lsh_probe": wrap(_q_embedding_dup_pairs_lsh_probe),
         "semantic_dup_pairs": wrap(_q_semantic_dup_pairs),
         "semdedup_kept_ids": wrap(_q_semdedup_kept_ids),
-        "multimodal_features": wrap(_q_multimodal_features),
         "exact_dup_pairs": wrap(_q_exact_dup_pairs),
         "repo_fork_pairs": wrap(_q_repo_fork_pairs),
         "vendored_dir_groups": wrap(_q_vendored_dir_groups),
@@ -2749,44 +2534,6 @@ def oracle_sql() -> dict[str, str]:
             FROM lines l LEFT JOIN multi m ON l.line = m.ml
             GROUP BY repo
         """,
-        # Disjoint 16-token chunking plan (the line-dedup list-slicing
-        # pattern: 1-indexed inclusive tk[i:i+15] = 16 tokens).
-        "doc_chunks": r"""
-            WITH tk AS (
-              SELECT doc_id, string_split(text, ' ') AS tk
-              FROM documents WHERE text IS NOT NULL AND length(text) > 0
-            )
-            SELECT doc_id,
-                   CAST((i - 1) // 16 AS BIGINT) AS chunk_idx,
-                   CAST(least(16, len(tk) - i + 1) AS BIGINT) AS n_tokens,
-                   sha256(array_to_string(tk[i:i+15], ' ')) AS chunk_sha
-            FROM tk, unnest(generate_series(1, len(tk), 16)) AS t(i)
-        """,
-        # Chunk-level dedup over the versioned fixture (text || ' v2'/' v3'
-        # mirrors sources/augment.py _version_rows content): versioned docs
-        # share every full leading 16-token chunk with their source.
-        "chunk_dup_stats": r"""
-            WITH vd AS (
-              SELECT doc_id, text FROM documents
-              WHERE text IS NOT NULL AND length(text) > 0
-              UNION ALL
-              SELECT doc_id + 70000000, text || ' v2' FROM documents
-              WHERE doc_id % 4 = 0 AND text IS NOT NULL AND length(text) > 0
-              UNION ALL
-              SELECT doc_id + 80000000, text || ' v3' FROM documents
-              WHERE doc_id % 4 = 0 AND text IS NOT NULL AND length(text) > 0
-            ),
-            tk AS (SELECT doc_id, string_split(text, ' ') AS tk FROM vd),
-            chunks AS (
-              SELECT doc_id, sha256(array_to_string(tk[i:i+15], ' ')) AS sha
-              FROM tk, unnest(generate_series(1, len(tk), 16)) AS t(i)
-            ),
-            dup AS (SELECT sha FROM chunks GROUP BY sha HAVING count(*) > 1)
-            SELECT doc_id, CAST(count(*) AS BIGINT) AS n_chunks,
-                   CAST(sum(CASE WHEN sha IN (SELECT sha FROM dup)
-                                 THEN 1 ELSE 0 END) AS BIGINT) AS n_dup_chunks
-            FROM chunks GROUP BY doc_id
-        """,
         # Repetition signals share the docs2 fixture; ALL lines count here
         # (no >=30-char rule — within-doc repetition is a quality signal,
         # not dedup). Integer ppm floor-division on both sides.
@@ -2842,31 +2589,6 @@ def oracle_sql() -> dict[str, str]:
                    CAST(t.top * 1000000 // greatest(t.n_tokens, 1) AS BIGINT) AS top_token_ppm
             FROM lstats l JOIN tstats t USING (doc_id)
         """,
-        # tumbling-window aggregate over the events table; all arithmetic
-        # integer (epoch us; per-event floored micro-units) so float
-        # addition order never skews the value-hash comparison
-        "windowed_event_counts": """
-            SELECT user_id, epoch_us(ts) // 3600000000 AS hour_idx,
-                   CAST(count(*) AS BIGINT) AS n_events,
-                   CAST(sum(CAST(floor(value * 1000000) AS BIGINT)) AS BIGINT)
-                       AS sum_value_micros
-            FROM events GROUP BY user_id, hour_idx
-        """,
-        # sliding/hopping window: window = 4 slides of 15 min; an event at
-        # t feeds windows (t//slide − 3 … t//slide); mirrors
-        # pipelines/events.sliding_window_counts (combiner-then-explode)
-        "sliding_window_counts": """
-            WITH ev AS (
-              SELECT user_id, epoch_us(ts) // 900000000 AS b,
-                     CAST(floor(value * 1000000) AS BIGINT) AS vm
-              FROM events
-            )
-            SELECT user_id, (b - i) AS window_idx,
-                   CAST(count(*) AS BIGINT) AS n_events,
-                   CAST(sum(vm) AS BIGINT) AS sum_value_micros
-            FROM ev, unnest(generate_series(0, 3)) AS t(i)
-            GROUP BY user_id, window_idx
-        """,
         # Priority sampling: u64 // weight keys in UBIGINT floor
         # arithmetic (integer DLT priorities), ties → min id
         "priority_sample": r"""
@@ -2903,65 +2625,6 @@ def oracle_sql() -> dict[str, str]:
                   PARTITION BY lang ORDER BY n_tokens DESC, doc_id) AS rn
               FROM c
             ) WHERE rn <= 5
-        """,
-        # AS-OF join: DuckDB's native ASOF LEFT JOIN picks the greatest
-        # right time ≤ the left time per key — exactly the engine's
-        # searchsorted semantics; unmatched rows coalesce to the -1
-        # sentinel (non-null column keeps the value-hash compare exact)
-        "asof_prev_event": """
-            WITH l AS (SELECT event_id, user_id, epoch_us(ts) AS t_us
-                       FROM events WHERE event_id % 2 = 1),
-            r AS (SELECT user_id, epoch_us(ts) AS rt
-                  FROM events WHERE event_id % 2 = 0)
-            SELECT l.event_id, l.user_id, l.t_us,
-                   coalesce(r.rt, -1) AS prev_ts_us
-            FROM l ASOF LEFT JOIN r
-              ON l.user_id = r.user_id AND l.t_us >= r.rt
-        """,
-        # range join (count form): left join keeps zero-neighbor left rows
-        "range_join_counts": """
-            WITH l AS (SELECT event_id, user_id, epoch_us(ts) AS t_us
-                       FROM events WHERE event_id % 2 = 1),
-            r AS (SELECT user_id, epoch_us(ts) AS rt
-                  FROM events WHERE event_id % 2 = 0)
-            SELECT l.event_id, l.user_id, l.t_us,
-                   CAST(count(r.rt) AS BIGINT) AS n_within
-            FROM l LEFT JOIN r
-              ON l.user_id = r.user_id
-             AND r.rt BETWEEN l.t_us - 300000000 AND l.t_us + 300000000
-            GROUP BY l.event_id, l.user_id, l.t_us
-        """,
-        # gap-based sessionization: lag + running-sum window construction,
-        # 30-minute inactivity gap, (t, event_id) tie order on both sides
-        # Streaming debounce-dedup: LAG gap within (user, type); first
-        # event has NULL gap (NULL < w is NULL → never counted)
-        "event_dedup_stats": """
-            WITH e AS (
-              SELECT user_id, event_type,
-                     epoch_us(ts) - lag(epoch_us(ts)) OVER (
-                       PARTITION BY user_id, event_type
-                       ORDER BY ts, event_id) AS gap
-              FROM events WHERE ts IS NOT NULL
-            )
-            SELECT user_id, event_type,
-                   CAST(count(*) AS BIGINT) AS n_events,
-                   CAST(count(CASE WHEN gap < 3600000000 THEN 1 END) AS BIGINT) AS n_dups
-            FROM e GROUP BY user_id, event_type
-            ORDER BY user_id, event_type
-        """,
-        "event_sessions": """
-            WITH e AS (SELECT user_id, event_id, epoch_us(ts) AS t FROM events),
-            g AS (SELECT *, CASE WHEN lag(t) OVER w IS NULL
-                                      OR t - lag(t) OVER w > 1800000000
-                                 THEN 1 ELSE 0 END AS new_s
-                  FROM e WINDOW w AS (PARTITION BY user_id ORDER BY t, event_id)),
-            s AS (SELECT *, sum(new_s) OVER (
-                      PARTITION BY user_id ORDER BY t, event_id
-                      ROWS UNBOUNDED PRECEDING) AS session_idx FROM g)
-            SELECT user_id, CAST(session_idx AS BIGINT) AS session_idx,
-                   CAST(count(*) AS BIGINT) AS n_events,
-                   min(t) AS start_us, max(t) AS end_us
-            FROM s GROUP BY user_id, session_idx
         """,
         # deterministic stratified Bernoulli sampling: keep iff the leading
         # 64 bits of sha256(text) fall below the language's exact integer
@@ -3066,27 +2729,6 @@ def oracle_sql() -> dict[str, str]:
                         WHEN m.score <= c2.cut THEN 'middle'
                         ELSE 'head' END AS bucket
             FROM m JOIN c1 USING (lang) JOIN c2 USING (lang)
-        """,
-        # sequence packing: the global exclusive running token sum in the
-        # canonical (sha256-u64, doc_id) order; seq_id = integer division
-        # by the 512-token context length
-        "packing_plan": r"""
-            WITH m AS (
-              SELECT doc_id, lang,
-                     CAST(length(regexp_extract_all(text, '\w+|[^\w\s]')) AS BIGINT) AS n_tokens,
-                     ('0x' || substr(sha256(text), 1, 16))::UBIGINT AS u
-              FROM documents WHERE text IS NOT NULL AND length(text) > 0
-            ),
-            s AS (
-              SELECT doc_id, lang, n_tokens,
-                     CAST(sum(n_tokens) OVER (
-                         ORDER BY u, doc_id ROWS UNBOUNDED PRECEDING
-                     ) - n_tokens AS BIGINT) AS start_tok
-              FROM m
-            )
-            SELECT doc_id, lang, n_tokens, start_tok,
-                   start_tok // 512 AS seq_id
-            FROM s
         """,
         # data mixing: scale = min over weighted langs of total/weight
         # (LEFT JOIN + coalesce 0 keeps a corpus-absent listed language
@@ -3236,19 +2878,6 @@ def oracle_sql() -> dict[str, str]:
     # language ID: lexicon + trigram-fallback replica generated from the
     # engine's own profile tables (see _lang_id_sql)
     sql["lang_id"] = _lang_id_sql()
-    # multimodal PLUMBING oracle: exactly-once per-row fan-out through the
-    # media adapter + actor pool, no spurious error routing (decode is
-    # stubbed — no codecs in the sandbox — so feature values are pytest
-    # scope, not oracle scope; see _q_multimodal_features)
-    sql["multimodal_features"] = """
-        SELECT doc_id AS media_id, 'image' AS kind, '' AS error
-        FROM documents
-    """
-    # REAL-codec audio roundtrip: 1 UTF-8 byte → 1 PCM sample at 8 kHz, so
-    # decoded n_samples ≡ octet_length(text) and duration_us = samples·125
-    # exactly (stages/multimodal.py:_synth_wav/_decode_wav). The engine side
-    # reports stdlib-wave DECODED frame counts — the hash matches only if
-    # the RIFF synthesis + parse round-trips every document.
     # distributed enumerate: exact ROW_NUMBER replica (0-based)
     sql["enumerated_docs"] = """
         SELECT CAST(ROW_NUMBER() OVER (ORDER BY lang, doc_id) - 1 AS BIGINT)
@@ -3256,15 +2885,6 @@ def oracle_sql() -> dict[str, str]:
                doc_id, lang
         FROM documents
         ORDER BY row_index
-    """
-    sql["audio_wav_stats"] = """
-        SELECT lang,
-               CAST(count(*) AS BIGINT) AS n_docs,
-               CAST(sum(COALESCE(strlen(text), 0)) AS BIGINT) AS total_samples,
-               CAST(sum(COALESCE(strlen(text), 0)) * 125 AS BIGINT) AS total_duration_us
-        FROM documents
-        GROUP BY lang
-        ORDER BY lang
     """
     # ---- flagship near-dup chain (value-checked at the oracle config:
     # complete candidates + exact verify ⇒ the engine's pair set equals the

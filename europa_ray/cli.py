@@ -359,8 +359,9 @@ def cmd_semdedup(args) -> dict:
     import ray.data
 
     from europa_ray.pipelines.semdedup import semantic_dup_pairs, semdedup_kept_ids
+    from europa_ray.sources.files import read_files
 
-    emb = ray.data.read_parquet(args.input)
+    emb = read_files(args.input)
     pairs = semantic_dup_pairs(
         emb, threshold=args.threshold, nlist=args.nlist
     )

@@ -292,13 +292,6 @@ def simhash_band_keys(simhash: np.ndarray, pieces: int = 4) -> np.ndarray:
     return out
 
 
-def minhash_jaccard_matrix(sigs: np.ndarray) -> np.ndarray:
-    """All-pairs estimated Jaccard for a small group: fraction of matching
-    signature components. (n, n) float64; used inside per-band pairing."""
-    eq = sigs[:, None, :] == sigs[None, :, :]
-    return eq.mean(axis=2)
-
-
 def hamming64(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Vectorized popcount(a ^ b) over uint64 arrays."""
     x = (np.asarray(a, dtype=_U64) ^ np.asarray(b, dtype=_U64)).view(np.uint8)

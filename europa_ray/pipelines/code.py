@@ -500,7 +500,7 @@ def repo_license_files(
         return files.map_batches(label, batch_format="pyarrow")
 
     # --- join fallback: file labels ⟕ winner table on repo ---
-    from europa_ray.util import default_num_partitions, scrub_empty_blocks
+    from europa_ray.util import hash_join, scrub_empty_blocks
 
     def detect(batch: pa.Table) -> pa.Table:
         lab = license_stats_batch(batch, text_col=text_col)
@@ -527,13 +527,7 @@ def repo_license_files(
             [pa.field("__r", pa.string()), pa.field("repo_license", pa.string())]
         ),
     )
-    joined = labeled.join(
-        win_side,
-        join_type="left_outer",
-        num_partitions=default_num_partitions(),
-        on=("repo",),
-        right_on=("__r",),
-    )
+    joined = hash_join(labeled, win_side, "left_outer", ("repo",), right_on=("__r",))
     joined = scrub_empty_blocks(joined.materialize(), REPO_LICENSE_SCHEMA)
 
     def finish(batch: pa.Table) -> pa.Table:

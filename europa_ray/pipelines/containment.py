@@ -587,7 +587,7 @@ def containment_kept_nodes(
     import ray
 
     from europa_ray.stages.filters import apply_filters
-    from europa_ray.util import default_num_partitions, scrub_empty_blocks, sorted_member
+    from europa_ray.util import hash_join, scrub_empty_blocks, sorted_member
 
     ds = apply_filters(files, cfg)
     pairs = containment_pairs(
@@ -664,12 +664,9 @@ def containment_kept_nodes(
         .materialize(),
         pa.schema([pa.field("__d", pa.int64()), pa.field("__flag", pa.int64())]),
     )
-    joined = sizes.join(
-        dropped_ds,
-        join_type="left_outer",
-        num_partitions=num_partitions or default_num_partitions(),
-        on=("node",),
-        right_on=("__d",),
+    joined = hash_join(
+        sizes, dropped_ds, "left_outer", ("node",), right_on=("__d",),
+        num_partitions=num_partitions,
     )
     joined = scrub_empty_blocks(
         joined.materialize(),

@@ -56,7 +56,7 @@ from europa_ray.pipelines.neardup import (
 )
 from europa_ray.stages.filters import apply_filters
 from europa_ray.stages.hash_stage import add_sha256
-from europa_ray.util import default_num_partitions, hex_to_u64_arrow
+from europa_ray.util import default_num_partitions, hash_join, hex_to_u64_arrow
 
 STATS_SCHEMA = pa.schema(
     [
@@ -467,9 +467,7 @@ def _distributed(
         .repartition(nparts)
         .materialize()
     )
-    out = new_map.join(
-        stats, join_type="inner", num_partitions=nparts, on=("node",)
-    )
+    out = hash_join(new_map, stats, "inner", ("node",), num_partitions=nparts)
 
     def project(batch: pa.Table) -> pa.Table:
         return pa.table(

@@ -41,7 +41,7 @@ import pyarrow.compute as pc
 import ray.data
 
 from europa_ray.util import (
-    default_num_partitions,
+    hash_join,
     scrub_empty_blocks,
     sha256_hex_arrow,
 )
@@ -161,8 +161,6 @@ def cross_repo_line_stats(
     """Per-repo line-sharing profile: (repo, n_distinct_lines,
     n_shared_lines), sorted by repo. ``n_shared_lines`` counts the repo's
     distinct nonblank lines that occur in >1 distinct repo."""
-    if num_partitions is None:
-        num_partitions = default_num_partitions()
     pairs = _pair_rows(files, text_col=text_col, repo_col=repo_col)
 
     # --- driver fast path: gather distinct pairs under budget ---
@@ -231,12 +229,9 @@ def cross_repo_line_stats(
             batch_format="pyarrow",
         ).sort("repo")
     n_shared = (
-        distinct.join(
-            shared,
-            join_type="inner",
+        hash_join(
+            distinct, shared, "inner", ("line_sha",), right_on=("__s",),
             num_partitions=num_partitions,
-            on=("line_sha",),
-            right_on=("__s",),
         )
         .groupby("repo")
         .count()
@@ -258,12 +253,9 @@ def cross_repo_line_stats(
             [pa.field("__r", pa.string()), pa.field("n_shared_lines", pa.int64())]
         ),
     )
-    joined = n_distinct.join(
-        n_shared,
-        join_type="left_outer",
+    joined = hash_join(
+        n_distinct, n_shared, "left_outer", ("repo",), right_on=("__r",),
         num_partitions=num_partitions,
-        on=("repo",),
-        right_on=("__r",),
     )
     joined = scrub_empty_blocks(joined.materialize(), STATS_SCHEMA)
 

@@ -160,9 +160,8 @@ def dup_span_stats(
 ) -> ray.data.Dataset:
     """Per-document duplicated-span statistics (docs with ≥ 1 duplicated
     position): (doc_id, dup_positions, covered_tokens). See module doc."""
-    from europa_ray.util import default_num_partitions
+    from europa_ray.util import hash_join
 
-    nparts = num_partitions or default_num_partitions()
     stream_kwargs = {"id_col": id_col, "w": w}
 
     from ray.data.aggregate import Count, Min
@@ -212,9 +211,7 @@ def dup_span_stats(
         stream = files.map_batches(
             _gram_stream, fn_kwargs=stream_kwargs, batch_format="pyarrow"
         )
-        joined = stream.join(
-            stats, join_type="inner", num_partitions=nparts, on=("gram",)
-        )
+        joined = hash_join(stream, stats, "inner", ("gram",), num_partitions=num_partitions)
 
         def unpack(batch: pa.Table) -> pa.Table:
             import pyarrow.compute as pc
@@ -406,9 +403,8 @@ def dedup_spans_rewrite(
     duplicated positions are list-aggregated and hash-joined back to the
     corpus rows for the rewrite pass.
     """
-    from europa_ray.util import default_num_partitions
+    from europa_ray.util import hash_join
 
-    nparts = num_partitions or default_num_partitions()
     stream_kwargs = {"id_col": id_col, "w": w}
 
     from ray.data.aggregate import Count, Min
@@ -468,9 +464,7 @@ def dedup_spans_rewrite(
     stream = files.map_batches(
         _gram_stream, fn_kwargs=stream_kwargs, batch_format="pyarrow"
     )
-    joined = stream.join(
-        stats, join_type="inner", num_partitions=nparts, on=("gram",)
-    )
+    joined = hash_join(stream, stats, "inner", ("gram",), num_partitions=num_partitions)
 
     def unpack(batch: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
@@ -505,12 +499,9 @@ def dedup_spans_rewrite(
             ]
         ),
     )
-    withpos = files.join(
-        poslists,
-        join_type="left_outer",
-        num_partitions=nparts,
-        on=(id_col,),
-        right_on=("__dup_doc",),
+    withpos = hash_join(
+        files, poslists, "left_outer", (id_col,), right_on=("__dup_doc",),
+        num_partitions=num_partitions,
     ).materialize()
 
     def dup_starts_from_lists(batch, data, s, e, toff):

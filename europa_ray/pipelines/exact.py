@@ -41,7 +41,7 @@ from europa_ray.stages.hash_stage import add_prefix_key, add_sha256
 from europa_ray.util import (
     block_tasks,
     dataset_block_refs,
-    default_num_partitions,
+    hash_join,
     hex_to_u256_arrow,
     sort_block_results,
     sort_result,
@@ -113,8 +113,6 @@ def exact_dup_clusters(
     emits groups in nondeterministic channel order (SURVEY.md K3); we sort for
     reproducible golden tests.
     """
-    if num_partitions is None:
-        num_partitions = default_num_partitions()
     import ray
 
     ds = apply_filters(files, cfg)
@@ -191,8 +189,8 @@ def exact_dup_clusters(
             extra={"n_members": pa.int64(), "cluster_id": pa.string()},
             fallback=_hashed_fallback_schema(files, id_cols),
         )
-    members = hashed.join(
-        dups, join_type="inner", num_partitions=num_partitions, on=("sha256",)
+    members = hash_join(
+        hashed, dups, "inner", ("sha256",), num_partitions=num_partitions
     ).map_batches(
         lambda b: b.append_column("cluster_id", b["sha256"]), batch_format="pyarrow"
     )
@@ -250,12 +248,12 @@ def _two_pass_filter(files, hashed, cfg: EngineConfig, id_cols):
     if survivors.count() == 0:
         return _empty_like(hashed, fallback=_hashed_fallback_schema(files, id_cols))
     keyed = (
-        pass1.join(survivors, join_type="inner", num_partitions=default_num_partitions(), on=("prefix_key",))
+        hash_join(pass1, survivors, "inner", ("prefix_key",))
         .select_columns(list(id_cols))
         .materialize()  # duplicate-candidate members only; see _dup_sha_counts note
     )
     # Semi-join the fully-hashed rows down to pass-1 survivors on identity.
-    return hashed.join(keyed, join_type="inner", num_partitions=default_num_partitions(), on=tuple(id_cols))
+    return hash_join(hashed, keyed, "inner", tuple(id_cols))
 
 
 def dedup_representatives(
@@ -408,7 +406,6 @@ def cross_corpus_new_docs(
     """
     import pyarrow.compute as pc
 
-    nparts = num_partitions or default_num_partitions()
     ref_digests = (
         reference_files.map_batches(
             add_sha256, fn_kwargs={"keep_cols": ()}, batch_format="pyarrow"
@@ -463,12 +460,9 @@ def cross_corpus_new_docs(
             [pa.field("__ref_sha", pa.string()), pa.field("__seen", pa.int8())]
         ),
     )
-    joined = new_hashed.select_columns([id_col, "sha256"]).join(
-        marked,
-        join_type="left_outer",
-        num_partitions=nparts,
-        on=("sha256",),
-        right_on=("__ref_sha",),
+    joined = hash_join(
+        new_hashed.select_columns([id_col, "sha256"]), marked, "left_outer", ("sha256",),
+        right_on=("__ref_sha",), num_partitions=num_partitions,
     )
 
     def keep_unseen(batch: pa.Table) -> pa.Table:
@@ -509,7 +503,6 @@ def cross_corpus_new_docs_bloom(
 
     from europa_ray.stages.bloom import build_bloom, probe_batch
 
-    nparts = num_partitions or default_num_partitions()
     ref_digests = (
         reference_files.map_batches(
             add_sha256, fn_kwargs={"keep_cols": ()}, batch_format="pyarrow"
@@ -560,12 +553,9 @@ def cross_corpus_new_docs_bloom(
             [pa.field("__ref_sha", pa.string()), pa.field("__seen", pa.int8())]
         ),
     )
-    joined = survivors.join(
-        marked,
-        join_type="left_outer",
-        num_partitions=nparts,
-        on=("sha256",),
-        right_on=("__ref_sha",),
+    joined = hash_join(
+        survivors, marked, "left_outer", ("sha256",), right_on=("__ref_sha",),
+        num_partitions=num_partitions,
     )
 
     def keep_unseen(batch: pa.Table) -> pa.Table:
@@ -719,8 +709,6 @@ def dup_rate_by_lang(
 
     from europa_ray.util import scrub_empty_blocks
 
-    if num_partitions is None:
-        num_partitions = default_num_partitions()
     partials = files.map_batches(
         _lang_sha_partials,
         fn_kwargs={"text_col": text_col, "lang_col": lang_col},
@@ -783,12 +771,8 @@ def dup_rate_by_lang(
         totals,
         pa.schema([pa.field("__s", pa.string()), pa.field("total", pa.int64())]),
     )
-    joined = grouped.join(
-        totals,
-        join_type="inner",
-        num_partitions=num_partitions,
-        on=("sha",),
-        right_on=("__s",),
+    joined = hash_join(
+        grouped, totals, "inner", ("sha",), right_on=("__s",), num_partitions=num_partitions
     )
 
     def per_lang_partial(b: pa.Table) -> pa.Table:

@@ -42,7 +42,7 @@ import pyarrow as pa
 import ray.data
 
 from europa_ray.stages.hash_stage import add_sha256
-from europa_ray.util import default_num_partitions, hex_to_u256_arrow
+from europa_ray.util import hash_join, hex_to_u256_arrow
 
 DEFAULT_THRESHOLD = 0.5
 DEFAULT_MAX_REPOS_PER_SHA = 16
@@ -159,7 +159,6 @@ def repo_fork_pairs(
     ``repo_a < repo_b`` lexically; sizes/intersections count DISTINCT
     content digests within the df-capped universe (see module docstring).
     """
-    nparts = num_partitions or default_num_partitions()
 
     # Driver path: stream the RAW (repo, digest) rows (metadata-only,
     # ~100 B/row) and do the DISTINCT in numpy — a cold Ray hash-shuffle
@@ -218,8 +217,8 @@ def repo_fork_pairs(
         .filter(expr=f"repo_df <= {max_repos_per_sha}")
         .materialize()
     )
-    capped = distinct.join(
-        df, join_type="inner", num_partitions=nparts, on=("sha256",)
+    capped = hash_join(
+        distinct, df, "inner", ("sha256",), num_partitions=num_partitions
     ).materialize()
     # per-repo set sizes: one row per repo (repos ≪ corpus — the operator's
     # core cardinality assumption, same as the driver path's name table).
@@ -247,9 +246,8 @@ def repo_fork_pairs(
     rhs = shared.select_columns(["repo", "sha256"]).rename_columns(
         {"repo": "repo_b"}
     )
-    joined = shared.select_columns(["repo", "sha256"]).rename_columns(
-        {"repo": "repo_a"}
-    ).join(rhs, join_type="inner", num_partitions=nparts, on=("sha256",))
+    lhs = shared.select_columns(["repo", "sha256"]).rename_columns({"repo": "repo_a"})
+    joined = hash_join(lhs, rhs, "inner", ("sha256",), num_partitions=num_partitions)
     cross = joined.filter(expr="repo_a < repo_b")
     inter = (
         cross.groupby(["repo_a", "repo_b"])

@@ -43,7 +43,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
-from europa_ray.util import default_num_partitions, sha256_hex_arrow
+from europa_ray.util import hash_join, sha256_hex_arrow
 
 DEFAULT_MIN_LINE_CHARS = 30
 
@@ -285,8 +285,6 @@ def line_dedup_stats(
     (doc_id, n_lines, n_kept, n_dropped), sorted by doc_id. ``n_lines``
     counts ALL lines; only dedupable lines whose keeper is a smaller doc_id
     are dropped."""
-    if num_partitions is None:
-        num_partitions = default_num_partitions()
     rows = _line_rows(
         files, min_line_chars=min_line_chars, text_col=text_col, id_col=id_col
     )
@@ -340,9 +338,7 @@ def line_dedup_stats(
     if dropmap.count() == 0:
         return doclines.map_batches(_zero_drop_final, batch_format="pyarrow").sort("doc_id")
     real = rows.filter(expr="occ > 0")
-    cand = real.join(
-        dropmap, join_type="inner", num_partitions=num_partitions, on=("line_sha",)
-    )
+    cand = hash_join(real, dropmap, "inner", ("line_sha",), num_partitions=num_partitions)
     dropped = cand.map_batches(
         lambda b: b.filter(pc.not_equal(b["doc_id"], b["min_doc"])),
         batch_format="pyarrow",
@@ -371,9 +367,7 @@ def line_dedup_stats(
             [pa.field("doc_id", pa.int64()), pa.field("n_dropped", pa.int64())]
         ),
     )
-    final = doclines.join(
-        alldrop, join_type="inner", num_partitions=num_partitions, on=("doc_id",)
-    )
+    final = hash_join(doclines, alldrop, "inner", ("doc_id",), num_partitions=num_partitions)
     return final.map_batches(_finalize_dedup_stats, batch_format="pyarrow").sort("doc_id")
 
 

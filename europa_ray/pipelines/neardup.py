@@ -51,6 +51,7 @@ from europa_ray.state.unionfind import (
 )
 from europa_ray.util import (
     block_tasks,
+    hash_join,
     hex16_arrow,
     sort_block_results,
     sort_result,
@@ -463,16 +464,12 @@ def _assemble_members_join(
     (forced-dispatch equivalence test in tests/test_neardup.py)."""
     import pyarrow.compute as pc
 
-    from europa_ray.util import default_num_partitions
-
-    nparts = num_partitions or default_num_partitions()
     sel_cols = [c for c in (*id_cols, "sha256", "node") if c in sigs.schema().names]
     base = sigs.select_columns(sel_cols)
 
     lab = labels_ds.rename_columns({"node": "__lab_node"}).materialize()
-    joined = base.join(
-        lab, join_type="left_outer", num_partitions=nparts,
-        on=("node",), right_on=("__lab_node",),
+    joined = hash_join(
+        base, lab, "left_outer", ("node",), right_on=("__lab_node",), num_partitions=num_partitions
     )
 
     if dup_nodes is not None:
@@ -505,9 +502,9 @@ def _assemble_members_join(
     dups = dups.materialize()
     has_dups = dups.count() > 0
     if has_dups:
-        joined = joined.join(
-            dups, join_type="left_outer", num_partitions=nparts,
-            on=("node",), right_on=("__dup_node",),
+        joined = hash_join(
+            joined, dups, "left_outer", ("node",), right_on=("__dup_node",),
+            num_partitions=num_partitions,
         )
 
     def tag(batch: pa.Table) -> pa.Table:
@@ -556,13 +553,11 @@ def near_dup_representatives(
     import pyarrow.compute as pc
 
     from europa_ray.stages.lsh import filter_by_key_array
-    from europa_ray.util import default_num_partitions
 
     clusters = near_dup_pipeline(files, cfg, id_cols=(id_col,))[
         "clusters"
     ].materialize()
     n = clusters.count()
-    nparts = num_partitions or default_num_partitions()
 
     if n == 0:
         return files.select_columns([id_col, "lang"])
@@ -617,7 +612,7 @@ def near_dup_representatives(
         ),
     )
     drops_ds = _scrub(
-        keyed.join(mins, join_type="inner", num_partitions=nparts, on=("cluster_id",))
+        hash_join(keyed, mins, "inner", ("cluster_id",), num_partitions=num_partitions)
         .filter(expr="repkey != repkey_min")
         .select_columns([id_col])
         .rename_columns({id_col: "__drop_id"})
@@ -629,12 +624,9 @@ def near_dup_representatives(
     )
     if drops_ds.count() == 0:  # all clusters singleton → nothing to drop
         return files.select_columns([id_col, "lang"])
-    out = files.select_columns([id_col, "lang"]).join(
-        drops_ds,
-        join_type="left_outer",
-        num_partitions=nparts,
-        on=(id_col,),
-        right_on=("__drop_id",),
+    out = hash_join(
+        files.select_columns([id_col, "lang"]), drops_ds, "left_outer", (id_col,),
+        right_on=("__drop_id",), num_partitions=num_partitions,
     )
 
     def keep_unmarked(batch: pa.Table) -> pa.Table:

@@ -165,7 +165,7 @@ def semdedup_kept_ids(
     # Ray-2.49-safe join shape (see pipelines/exact.py:cross_corpus_new_docs)
     import pyarrow.compute as pc
 
-    from europa_ray.util import default_num_partitions
+    from europa_ray.util import default_num_partitions, hash_join
 
     nparts = default_num_partitions()
 
@@ -189,9 +189,7 @@ def semdedup_kept_ids(
         lambda b: b.select([id_col]).rename_columns(["vec_id"]),
         batch_format="pyarrow",
     )
-    joined = ids_only.join(
-        drop_ds, join_type="left_outer", num_partitions=nparts, on=("vec_id",)
-    )
+    joined = hash_join(ids_only, drop_ds, "left_outer", ("vec_id",), num_partitions=nparts)
 
     def keep_unmarked(batch: pa.Table) -> pa.Table:
         return batch.filter(pc.is_null(batch["__drop"])).select(["vec_id"])

@@ -64,23 +64,6 @@ def token_count_batch(batch: pa.Table, text_col: str = "text") -> pa.Table:
     return out.append_column("n_tokens", pa.array(token_count_arrow(batch[text_col])))
 
 
-def quality_batch(batch: pa.Table, text_col: str = "text") -> pa.Table:
-    """Length + character-class ratios (rounded to 6 dp, SQL-parity)."""
-    col = batch[text_col]
-    data, off = arrow_string_bytes(col)
-    n_chars = _utf8_lengths(col)
-    alpha = _class_counts(data, off, _ALPHA_LUT)
-    digit = _class_counts(data, off, _DIGIT_LUT)
-    ws = _class_counts(data, off, _WS_LUT)
-    denom = np.maximum(n_chars, 1).astype(np.float64)
-    out = batch.select([c for c in batch.column_names if c != text_col])
-    out = out.append_column("n_chars_calc", pa.array(n_chars))
-    out = out.append_column("alpha_ratio", pa.array(np.round(alpha / denom, 6)))
-    out = out.append_column("digit_ratio", pa.array(np.round(digit / denom, 6)))
-    out = out.append_column("ws_ratio", pa.array(np.round(ws / denom, 6)))
-    return out
-
-
 def quality_ppm_batch(batch: pa.Table, text_col: str = "text") -> pa.Table:
     """Quality ratios as integer parts-per-million (floor division) — exact
     integer arithmetic on both the engine and the DuckDB-oracle side, so the

@@ -63,6 +63,7 @@ import ray.data
 from europa_ray.config import DEFAULT_CONFIG, EngineConfig
 from europa_ray.util import (
     default_num_partitions,
+    hash_join,
     hex_to_u256_arrow,
     scrub_empty_blocks,
 )
@@ -176,9 +177,7 @@ def _near_tier_drops(
 
             lens_ds = surv_files.map_batches(id_len, batch_format="pyarrow")
         clusters = scrub_empty_blocks(
-            clusters.join(
-                lens_ds, join_type="inner", num_partitions=nparts, on=(id_col,)
-            )
+            hash_join(clusters, lens_ds, "inner", (id_col,), num_partitions=nparts)
             .map_batches(
                 lambda b: pa.table(
                     {
@@ -237,7 +236,7 @@ def _near_tier_drops(
             )
 
     drops = (
-        clusters.join(reps, join_type="inner", num_partitions=nparts, on=("cluster_id",))
+        hash_join(clusters, reps, "inner", ("cluster_id",), num_partitions=nparts)
         .map_batches(to_drops, batch_format="pyarrow")
         .materialize()
     )
@@ -604,9 +603,7 @@ def _tiered_dedup_distributed(
                 .rename_columns({"min(__rep2)": "__rep3"})
                 .materialize()
             )
-        h2 = g2.join(
-            g3, join_type="inner", num_partitions=nparts, on=("__psha",)
-        ).materialize()
+        h2 = hash_join(g2, g3, "inner", ("__psha",), num_partitions=nparts).materialize()
         # g1 and g2 both carry __psha — project it off g1 so the exact- and
         # norm-attribution joins below have no non-key column collision
         g1 = g1.select_columns(["sha256", "__rep1", "__nsha"]).materialize()
@@ -616,7 +613,7 @@ def _tiered_dedup_distributed(
     # select_columns pushed onto a join output and then fails the next
     # join with "no match or multiple matches for key field", so every
     # join output here is consumed by map_batches / iter_batches instead.
-    att1 = digests.join(g1, join_type="inner", num_partitions=nparts, on=("sha256",))
+    att1 = hash_join(digests, g1, "inner", ("sha256",), num_partitions=nparts)
 
     def exact_drops_fn(batch: pa.Table) -> pa.Table:
         keep = batch.filter(pc.not_equal(batch[id_col], batch["__rep1"]))
@@ -633,7 +630,7 @@ def _tiered_dedup_distributed(
     # The norm tier only ever drops exact-tier SURVIVORS — and those are
     # exactly the __rep1 values — so its attribution lives entirely on the
     # distinct-digest table: no second corpus-wide join needed.
-    h = g1.join(g2, join_type="inner", num_partitions=nparts, on=("__nsha",))
+    h = hash_join(g1, g2, "inner", ("__nsha",), num_partitions=nparts)
 
     def norm_drops_fn(batch: pa.Table) -> pa.Table:
         keep = batch.filter(pc.not_equal(batch["__rep1"], batch["__rep2"]))
@@ -698,9 +695,7 @@ def _tiered_dedup_distributed(
     )
     if drops.count() == 0:
         return _all_kept(files, id_col)
-    out = all_ids.join(
-        drops, join_type="left_outer", num_partitions=nparts, on=("doc_id",)
-    )
+    out = hash_join(all_ids, drops, "left_outer", ("doc_id",), num_partitions=nparts)
 
     def fill_kept(batch: pa.Table) -> pa.Table:
         tier = pc.coalesce(batch["tier"], pa.scalar("kept", pa.string()))
@@ -773,7 +768,7 @@ def tier_savings(
         )
 
     joined = scrub_empty_blocks(
-        out.join(lens, join_type="left_outer", num_partitions=nparts, on=("doc_id",))
+        hash_join(out, lens, "left_outer", ("doc_id",), num_partitions=nparts)
         .map_batches(
             lambda b: pa.table(
                 {

@@ -566,68 +566,6 @@ def with_dirs(files_ds: ray.data.Dataset) -> ray.data.Dataset:
     return files_ds.map_batches(add_dir, batch_format="pyarrow")
 
 
-VERSION_OFFSET_V2 = 70_000_000
-VERSION_OFFSET_V3 = 80_000_000
-VERSION_EVERY = 4
-
-
-def _version_rows(batch: pa.Table, offset: int, suffix: str) -> pa.Table:
-    """Extra VERSIONS of every ``VERSION_EVERY``-th nonempty doc: SAME
-    (repo, path), new doc_id/commit (``doc_id + offset``), content with a
-    ``suffix`` appended — near-identical versions of one file, the
-    fixture for the chunk-level dup report (the raw corpus has exactly one
-    version per path). Mirrored by the ``vd`` UNION-ALL CTE in
-    ``oracle_sql()['chunk_dup_stats']``."""
-    import pyarrow.compute as pc
-
-    c = batch["content"]
-    ids = batch["doc_id"].to_numpy()
-    mask = pa.array(
-        (ids % VERSION_EVERY == 0)
-        & pc.fill_null(
-            pc.and_kleene(pc.is_valid(c), pc.greater(pc.utf8_length(c), 0)), False
-        ).to_numpy(zero_copy_only=False)
-    )
-    sub = batch.filter(mask)
-    if sub.num_rows == 0:
-        return sub
-    new_id = pc.add(sub["doc_id"], offset)
-    cols = {}
-    for name in sub.column_names:
-        if name == "doc_id":
-            cols[name] = new_id
-        elif name == "content":
-            cols[name] = pc.binary_join_element_wise(
-                sub["content"], pa.scalar(suffix), ""
-            )
-        elif name == "commit":
-            cols[name] = pc.utf8_lpad(pc.cast(new_id, pa.string()), 40, "0")
-        else:
-            cols[name] = sub[name]  # repo, path, lang unchanged
-    return pa.table({c: cols[c] for c in sub.column_names})
-
-
-def with_versions(files_ds: ray.data.Dataset) -> ray.data.Dataset:
-    """files-shaped Dataset ∪ two newer versions (v2, v3) of every
-    ``VERSION_EVERY``-th nonempty doc under the same (repo, path).
-
-    One fused pass (each batch emits original + v2 + v3 rows concatenated)
-    rather than ``union`` of three maps: the union shape re-executes the
-    upstream per branch AND triples the block count with tiny version
-    blocks, which dominated the downstream groupby's per-block overhead
-    (measured 28.7 s → 6.9 s on the 60k bench corpus)."""
-
-    def fused(batch: pa.Table) -> pa.Table:
-        parts = [
-            batch,
-            _version_rows(batch, VERSION_OFFSET_V2, " v2"),
-            _version_rows(batch, VERSION_OFFSET_V3, " v3"),
-        ]
-        return pa.concat_tables([p for p in parts if p.num_rows])
-
-    return files_ds.map_batches(fused, batch_format="pyarrow")
-
-
 # --- code-shaped fixture -------------------------------------------------
 # Rewrites each doc into a small source-file layout (license header comment,
 # import line(s), a comment, an optional blank line, the original text as an

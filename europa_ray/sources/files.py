@@ -207,7 +207,10 @@ def _byte_runs(sizes: list[int], n: int) -> list[tuple[int, int]]:
 
 
 def read_files(path: str | list[str], columns: list[str] | None = None) -> ray.data.Dataset:
-    """Read a ``files(repo,path,commit,lang,content)`` parquet table/dir.
+    """Read any Parquet table: a file, a directory of files or a list of
+    them. The engine reads all its Parquet through here: the ``files(repo,
+    path, commit, lang, content)`` corpora, and its caches, checkpoints
+    and embeddings.
 
     The read is planned from one listing (:class:`_ParquetFiles`): no Ray
     task runs before the read tasks themselves, and building the Dataset

@@ -37,21 +37,12 @@ def _normalize(m: np.ndarray) -> np.ndarray:
     return m / norms
 
 
-def _topk_tie_safe(scores: np.ndarray, kk: int) -> np.ndarray:
-    """Indices of the ``kk`` largest scores PLUS every row tied with the
-    kk-th — so downstream (score DESC, id ASC) merging never loses a
-    smaller-id tie to per-batch truncation."""
-    n = scores.shape[0]
-    if kk >= n:
-        return np.arange(n)
-    thresh = np.partition(scores, n - kk)[n - kk]
-    return np.nonzero(scores >= thresh)[0]
-
-
 def _topk_tie_safe_matrix(sims: np.ndarray, kk: int) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized per-column :func:`_topk_tie_safe` over an (n, nq) score
-    matrix — one ``np.partition`` along axis 0 instead of a Python loop over
-    queries. Returns (row_idx, query_idx) of every kept candidate."""
+    """Per column of an (n, nq) score matrix, the ``kk`` largest scores PLUS
+    every row tied with the kk-th — so downstream (score DESC, id ASC)
+    merging never loses a smaller-id tie to per-batch truncation. One
+    ``np.partition`` along axis 0 instead of a Python loop over queries.
+    Returns (row_idx, query_idx) of every kept candidate."""
     n = sims.shape[0]
     if kk >= n:
         thresh = sims.min(axis=0)

@@ -2,9 +2,8 @@
 
 The reference surfaces per-file read/decode failures as notifications and
 keeps going (``/root/reference/Api/Implementations/Commons/
-DirectoryReader.cs:42-65``, ``SimilarImageFinder.cs:206-210``); only its
-media path had an engine analog (``stages/multimodal.py``'s ``error``
-column). This stage extends the same convention to text/content rows:
+DirectoryReader.cs:42-65``, ``SimilarImageFinder.cs:206-210``). This
+stage applies the same convention to text/content rows:
 
 - ``null_content``  — content is null (unreadable row)
 - ``empty_content`` — content is present but zero-length

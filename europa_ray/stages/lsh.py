@@ -34,6 +34,7 @@ from europa_ray.util import (
     block_tasks,
     cluster_cpus,
     default_num_partitions,
+    hash_join,
     remote_fn,
     sorted_member,
 )
@@ -176,18 +177,6 @@ def pair_band_group(group: pa.Table, cfg: EngineConfig = DEFAULT_CONFIG) -> pa.T
             "source": pa.repeat(pa.scalar("lsh"), len(lo)),
         }
     )
-
-
-def explode_band_keys(batch: pa.Table, cfg: EngineConfig = DEFAULT_CONFIG) -> pa.Table:
-    """Lightweight explode: band keys ONLY (no signature payload) — feeds
-    collision detection without paying the ×16 signature replication."""
-    if batch.num_rows == 0:
-        return pa.table({"band_key": pa.array([], pa.int64())})
-    if cfg.candidates == "all":
-        return pa.table({"band_key": pa.array(np.zeros(batch.num_rows, np.int64))})
-    sig32 = minhash_matrix(batch, cfg.num_perm)
-    bk = band_keys(sig32.astype(np.uint64), cfg.lsh_bands, cfg.lsh_rows).view(np.int64)
-    return pa.table({"band_key": pa.array(bk.ravel())})
 
 
 def duplicated_keys(
@@ -695,9 +684,7 @@ def semi_join_keys(
             return batch.filter(pa.array(mask))
 
         return ds.map_batches(filt, batch_format="pyarrow")
-    return ds.join(
-        keys_ds, join_type="inner", num_partitions=num_partitions, on=(key_col,)
-    )
+    return hash_join(ds, keys_ds, "inner", (key_col,), num_partitions=num_partitions)
 
 
 def dedupe_pair_arrays(

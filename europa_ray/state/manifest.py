@@ -32,6 +32,7 @@ from typing import Any
 import pyarrow.parquet as pq
 import ray.data
 
+from europa_ray.sources.files import read_files
 from europa_ray.util import hash_strings
 
 
@@ -92,7 +93,7 @@ class Manifest:
             if rec.rows_out == 0:
                 # zero-row stages keep no parquet; re-running is cheap and exact
                 return compute()
-            return ray.data.read_parquet(rec.output_path)
+            return read_files(rec.output_path)
         ds = compute()
         # clear stale partials from a killed run, then write fresh
         os.makedirs(out_dir, exist_ok=True)
@@ -117,7 +118,7 @@ class Manifest:
         self._flush()
         if rows == 0:
             return ds
-        return ray.data.read_parquet(out_dir)
+        return read_files(out_dir)
 
     def add_counters(self, stage: str, counters: dict[str, float]) -> None:
         if stage in self.records:

@@ -49,6 +49,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 from europa_ray.config import DEFAULT_CONFIG, EngineConfig
+from europa_ray.sources.files import read_files
 
 SIG_PAYLOAD_COLS = ("node", "sha256", "n_tokens", "minhash", "simhash")
 
@@ -376,18 +377,16 @@ def _attach_cached_payloads(allrows, sig_dir: str, *, broadcast_max_nodes: int):
 
     # big-cache path: distributed hash join on node (cache is node-unique
     # by the write invariant, so the inner join is row-preserving)
-    from europa_ray.util import default_num_partitions
+    from europa_ray.util import hash_join
 
-    cached_side = ray.data.read_parquet(
+    cached_side = read_files(
         sig_dir, columns=["node", "n_tokens", "minhash", "simhash"]
     ).materialize()
     old = _filter_flag(allrows, True).drop_columns(
         ["from_cache", "n_tokens", "minhash", "simhash"]
     )
     new = _filter_flag(allrows, False).drop_columns(["from_cache"])
-    joined = old.join(
-        cached_side, join_type="inner", num_partitions=default_num_partitions(), on=("node",)
-    )
+    joined = hash_join(old, cached_side, "inner", ("node",))
 
     def align(batch: pa.Table) -> pa.Table:
         return batch.select(out_cols)
@@ -494,7 +493,7 @@ def incremental_pairs(
     # --- distributed shape ---
     import pyarrow.compute as pc
 
-    from europa_ray.util import default_num_partitions
+    from europa_ray.util import hash_join
 
     out_cols = [f.name for f in PAIRS_SCHEMA]
     if n_cached == 0 or n_fresh == 0:
@@ -506,16 +505,11 @@ def incremental_pairs(
             )
 
         marker = (
-            ray.data.read_parquet(pairs_dir, columns=["a", "b"])
+            read_files(pairs_dir, columns=["a", "b"])
             .map_batches(mark, batch_format="pyarrow")
             .materialize()
         )
-        joined = pairs_ds.join(
-            marker,
-            join_type="left_outer",
-            num_partitions=default_num_partitions(),
-            on=("a", "b"),
-        )
+        joined = hash_join(pairs_ds, marker, "left_outer", ("a", "b"))
 
         def only_new(batch: pa.Table) -> pa.Table:
             return batch.filter(pc.is_null(batch["__cached"])).select(out_cols)
@@ -530,7 +524,7 @@ def incremental_pairs(
     counters["pairs_new"] = float(n_new)
     if not _cache_files(pairs_dir):
         return ray.data.from_arrow(PAIRS_SCHEMA.empty_table()), counters
-    return ray.data.read_parquet(pairs_dir), counters
+    return read_files(pairs_dir), counters
 
 
 # ---------------------------------------------------------------------------
@@ -558,8 +552,6 @@ def compact_cache(
     import shutil
     import uuid
 
-    import ray.data
-
     fp = _sig_cfg_fingerprint(cfg)
     stats: dict[str, dict[str, int]] = {}
     for sub, key in ((f"signatures-{fp}", "node"), (f"pairs-{fp}", None)):
@@ -583,7 +575,7 @@ def compact_cache(
             pq.write_table(tbl, os.path.join(tmp, f"part-{uuid.uuid4().hex}.parquet"))
             n_after_rows = tbl.num_rows
         else:
-            ds = ray.data.read_parquet(d)
+            ds = read_files(d)
             if key is not None:
                 ds, n_after_rows = distinct_by_node(ds)
             else:

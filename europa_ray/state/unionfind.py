@@ -155,7 +155,7 @@ def connected_components_distributed(pairs_ds, *, max_iters: int = 50):
     exactly, :func:`_changed_labels`); raises ``RuntimeError`` if labels are
     still changing after ``max_iters`` rounds.
     """
-    from europa_ray.util import default_num_partitions, scrub_empty_blocks
+    from europa_ray.util import hash_join, scrub_empty_blocks
 
     def seed(batch: pa.Table) -> pa.Table:
         a = batch["a"].to_numpy()
@@ -164,7 +164,6 @@ def connected_components_distributed(pairs_ds, *, max_iters: int = 50):
         vals = np.concatenate([b, a]).astype(np.int64)
         return pa.table({"key": pa.array(keys), "val": pa.array(vals)})
 
-    nparts = default_num_partitions()
     state = pairs_ds.map_batches(seed, batch_format="pyarrow").materialize()
     low_water = max(state.count(), 1)
     prev = None
@@ -179,7 +178,7 @@ def connected_components_distributed(pairs_ds, *, max_iters: int = 50):
                 break
         prev = labels
         state = scrub_empty_blocks(
-            state.join(labels, join_type="inner", num_partitions=nparts, on=("key",))
+            hash_join(state, labels, "inner", ("key",))
             .map_batches(_emit_h2m, batch_format="pyarrow")
             .materialize(),
             _STATE_SCHEMA,

@@ -172,12 +172,31 @@ def cluster_cpus() -> int:
 
 
 def default_num_partitions(cap: int = 64) -> int:
-    """Shuffle partition count sized to the cluster: Ray's hash-shuffle
-    spawns aggregator actors proportional to the partition count, and a
-    count exceeding available CPUs deadlocks small clusters. ``cpus − 2``
-    leaves room for map/read tasks; capped for the sandbox (raise the cap on
-    a real multi-node cluster)."""
+    """Shuffle partition count sized to the cluster: ``cpus − 2`` leaves
+    room for map/read tasks beside Ray's hash-shuffle aggregator actors,
+    with a floor of 2 and a cap of ``cap`` (raise it on a large multi-node
+    cluster). The count is not what stalls a join on one CPU: one partition
+    stalls too (see :func:`hash_join`)."""
     return max(2, min(cap, cluster_cpus() - 2))
+
+
+def hash_join(left, right, join_type: str, on: tuple[str, ...], *, num_partitions=None, **kwargs):
+    """``left.join(right, ...)``: the one place the engine joins Datasets.
+
+    ``num_partitions`` defaults to :func:`default_num_partitions`. On a
+    1-CPU cluster Ray 2.49's join aggregator actors each ask for a CPU
+    share that the running map and read tasks never free, so the join
+    makes no progress, with 1 partition or with 2; there the aggregators
+    ask for no CPU. Larger clusters keep Ray's default."""
+    if cluster_cpus() == 1:
+        kwargs["aggregator_ray_remote_args"] = {"num_cpus": 0}
+    return left.join(
+        right,
+        join_type=join_type,
+        num_partitions=num_partitions or default_num_partitions(),
+        on=on,
+        **kwargs,
+    )
 
 
 # Read blocks per CPU: the cap of default_read_blocks.

@@ -1,4 +1,4 @@
-"""ANN (brute-force + LSH) and multimodal-stub plumbing tests."""
+"""ANN (brute-force, LSH and IVF) tests."""
 
 from __future__ import annotations
 
@@ -126,35 +126,6 @@ def test_embedding_lsh_pairs_subset_of_exact(ray_session, emb_np):
     assert len(exact_set) >= 20  # the planted pairs
     assert approx_set <= exact_set  # no false positives (exact verify in-bucket)
     assert len(approx_set) >= 15  # buckets recover nearly all planted pairs
-
-
-def test_media_stub_plumbing(ray_session):
-    import ray.data
-
-    from europa_ray.stages.multimodal import documents_as_media, media_features
-
-    docs = ray.data.read_parquet(f"{SF_TINY}/documents.parquet")
-    media = docs.map_batches(documents_as_media, batch_format="pyarrow")
-    feats = media_features(media).to_pandas()
-    assert len(feats) == docs.count()
-    assert feats.error.isna().all()
-    assert all(len(f) == 16 for f in feats.features)
-    # determinism: same payload → same features
-    f2 = media_features(media).to_pandas().sort_values("media_id").reset_index(drop=True)
-    f1 = feats.sort_values("media_id").reset_index(drop=True)
-    assert all(np.allclose(a, b) for a, b in zip(f1.features, f2.features))
-
-
-def test_media_stub_strict_raises_into_error_column(ray_session):
-    import ray.data
-
-    from europa_ray.stages.multimodal import documents_as_media, media_features
-
-    docs = ray.data.read_parquet(f"{SF_TINY}/documents.parquet").limit(20)
-    media = docs.map_batches(documents_as_media, batch_format="pyarrow")
-    feats = media_features(media, strict=True).to_pandas()
-    assert feats.error.notna().all()
-    assert feats.error.str.contains("NotImplementedError").all()
 
 
 def test_lsh_topk_matches_per_query_reference(ray_session, emb_np):

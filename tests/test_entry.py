@@ -34,7 +34,7 @@ def _normalize(df: pd.DataFrame) -> pd.DataFrame:
 
 def _oracle(sql: str, sf_dir: str) -> pd.DataFrame:
     con = duckdb.connect()
-    for t in ["documents", "embeddings", "events"]:
+    for t in ["documents", "embeddings"]:
         con.execute(f"CREATE VIEW {t} AS SELECT * FROM '{sf_dir}/{t}.parquet'")
     return con.execute(sql).df()
 
@@ -53,12 +53,11 @@ def test_all_queries_have_callables(entry_mod):
     assert set(oracles) <= set(qs)
 
 
-@pytest.mark.parametrize("name", list(__ray_entry__.queries()))
-def test_query_matches_oracle(entry_mod, name):
-    fn = entry_mod.queries()[name]
-    sql = entry_mod.oracle_sql()[name]
-    got = _normalize(_to_df(fn(SF_TINY)))
-    want = _normalize(_oracle(sql, SF_TINY))
+def assert_matches_oracle(name: str, result, sf_dir: str) -> None:
+    """``result`` of query ``name`` at ``sf_dir`` equals its DuckDB oracle:
+    column names, row count, then values (order-insensitive)."""
+    got = _normalize(_to_df(result))
+    want = _normalize(_oracle(__ray_entry__.oracle_sql()[name], sf_dir))
     assert list(got.columns) == list(want.columns), (got.columns, want.columns)
     assert len(got) == len(want), f"{name}: rows {len(got)} vs oracle {len(want)}"
     if len(got):
@@ -68,6 +67,11 @@ def test_query_matches_oracle(entry_mod, name):
                 assert (abs(got[c].to_numpy() - want[c].to_numpy()) < 1e-9).all(), c
             else:
                 assert (got[c].astype(str).to_numpy() == want[c].astype(str).to_numpy()).all(), c
+
+
+@pytest.mark.parametrize("name", list(__ray_entry__.queries()))
+def test_query_matches_oracle(entry_mod, name):
+    assert_matches_oracle(name, entry_mod.queries()[name](SF_TINY), SF_TINY)
 
 
 # The tiered oracles built by ``_tiered_sql`` and the key each returns one
@@ -88,7 +92,7 @@ def test_tier_oracle_fits_in_memory(name):
     regression shows as a fast error here, not as an exhausted machine."""
     con = duckdb.connect()
     con.execute("SET memory_limit='2GB'")
-    for t in ["documents", "embeddings", "events"]:
+    for t in ["documents", "embeddings"]:
         con.execute(f"CREATE VIEW {t} AS SELECT * FROM '{SF_TINY}/{t}.parquet'")
     df = con.execute(__ray_entry__.oracle_sql()[name]).df()
     key = _TIER_ORACLE_KEYS[name]

@@ -212,45 +212,6 @@ def test_token_count_arrow_edge_bytes():
 # round-4 operator kernels
 # ---------------------------------------------------------------------------
 
-words_strategy = st.lists(
-    st.lists(
-        st.sampled_from([f"w{i}" for i in range(12)]), min_size=1, max_size=60
-    ).map(" ".join),
-    min_size=1,
-    max_size=6,
-)
-
-
-@settings(max_examples=40, deadline=None)
-@given(words_strategy, st.integers(min_value=1, max_value=9))
-def test_doc_chunks_partition_property(texts, c):
-    """Chunks are a PARTITION of each doc's token stream: per-doc chunk
-    sizes sum to the token count, all but the last chunk are full, and
-    chunk_idx is dense from 0."""
-    from europa_ray.pipelines.chunking import doc_chunks_batch
-
-    t = pa.table(
-        {
-            "doc_id": pa.array(np.arange(len(texts), dtype=np.int64)),
-            "content": pa.array(texts, pa.string()),
-        }
-    )
-    got = doc_chunks_batch(t, chunk_tokens=c)
-    per: dict[int, list[tuple[int, int]]] = {}
-    for d, i, n in zip(
-        got["doc_id"].to_pylist(), got["chunk_idx"].to_pylist(),
-        got["n_tokens"].to_pylist(),
-    ):
-        per.setdefault(d, []).append((i, n))
-    for d, txt in enumerate(texts):
-        n_tok = len(txt.split(" "))
-        chunks = sorted(per[d])
-        assert [i for i, _ in chunks] == list(range(len(chunks)))
-        assert sum(n for _, n in chunks) == n_tok
-        assert all(n == c for _, n in chunks[:-1])
-        assert 1 <= chunks[-1][1] <= c
-
-
 @settings(max_examples=40, deadline=None)
 @given(
     st.lists(st.sampled_from([f"w{i}" for i in range(30)]), min_size=6, max_size=80),
