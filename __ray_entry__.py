@@ -2637,8 +2637,8 @@ def oracle_sql() -> dict[str, str]:
                   CASE WHEN lang = 'en' THEN 9223372036854775808::UBIGINT
                        ELSE 4611686018427387904::UBIGINT END
         """,
-        # 90/5/5 split: cumulative u64 thresholds from
-        # sampling.split_thresholds() — int(0.9·2^64), int(0.95·2^64)
+        # 90/5/5 split: the cumulative u64 thresholds split_assign computes,
+        # sampling._rate_to_threshold(0.9) and (0.95)
         "split_assign": """
             SELECT doc_id, lang,
                    CASE WHEN ('0x' || substr(sha256(text), 1, 16))::UBIGINT

@@ -43,9 +43,6 @@ def make_perm_seeds(num_perm: int, seed: int) -> np.ndarray:
 
 
 # Sentinel for "no shingles" (empty row) — also the identity for min.
-EMPTY_SIG = np.iinfo(np.uint64).max
-
-
 EMPTY_SIG32 = np.iinfo(np.uint32).max
 
 

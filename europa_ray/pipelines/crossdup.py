@@ -224,17 +224,6 @@ def cross_corpus_near_dup_stats(
     return new_map.map_batches(attach, batch_format="pyarrow").sort(id_col)
 
 
-_FLAG_SCHEMA = pa.schema(
-    [
-        ("node", pa.int64()),
-        ("mate", pa.int64()),
-        ("is_side", pa.int8()),
-        ("new", pa.int8()),
-        ("ref", pa.int8()),
-    ]
-)
-
-
 def _distributed(
     new_files: ray.data.Dataset,
     ref_files: ray.data.Dataset,

@@ -56,23 +56,6 @@ _ROWS_SCHEMA = pa.schema(
     ]
 )
 
-DUP_STATS_SCHEMA = pa.schema(
-    [
-        pa.field("line_sha", pa.string()),
-        pa.field("n_occ", pa.int64()),
-        pa.field("n_docs", pa.int64()),
-    ]
-)
-
-DEDUP_STATS_SCHEMA = pa.schema(
-    [
-        pa.field("doc_id", pa.int64()),
-        pa.field("n_lines", pa.int64()),
-        pa.field("n_kept", pa.int64()),
-        pa.field("n_dropped", pa.int64()),
-    ]
-)
-
 
 def _explode_lines(
     batch: pa.Table,

@@ -6,18 +6,25 @@ Engine shape (north rule)::
     shingles + MinHash-128 over the shingle stream, content dropped; only
     a set-weighted fuzzy kernel sorts the stream into a set)
         → band-key explode (×16, one raw task per signature block)
-        → dense node index (sorted distinct nodes) + exact-dup node set
-        → per-bucket pairing over band-key partitions + hot-band windowing,
-          each partition shipping distinct packed pair keys
-        → one np.unique merge → gather-verify (estimated Jaccard ≥ τ)
-        → connected components on the same dense indices (driver
-          union-find / distributed hash-to-min above the budget)
+        → index task: dense node index (sorted distinct nodes) + exact-dup
+          node set
+        → per-bucket pairing tasks over band-key partitions + hot-band
+          windowing, each shipping distinct packed pair keys
+        → reduce task: one np.unique merge → signature gather from the
+          signature blocks → verify (estimated Jaccard ≥ τ) → union-find
+          on the same dense indices
         → member tags (one raw task per signature block) + singleton
           suppression → sorted clusters
 
-Above a driver budget each step falls back to its distributed form: the
-``groupby(band_key)`` shuffle with inline verify (``stages/lsh.py``), the
-hash-to-min union-find and the join-based member assembly.
+The steps from the band-key explode to the union-find are raw Ray tasks
+linked by object refs (``stages/lsh.py:candidate_pairs``): the verified
+pair table stays in the object store, wrapped as the ``pairs`` Dataset,
+and the driver receives only node-sized arrays — the ``(node, label)``
+labels and the exact-dup nodes that member assembly needs. Above a budget
+each step falls back to its distributed form: the ``groupby(band_key)``
+shuffle with inline verify, the hash-to-min union-find (above
+``cc_driver_max_edges``, fed from the reduce task's pair table) and the
+join-based member assembly.
 
 Cluster semantics vs the reference: one node per distinct content
 (exact-dup coalescing before similarity, ``SimilarImageFinder.cs:161-165``);
@@ -45,7 +52,6 @@ from europa_ray.stages.lsh import PAIRS_SCHEMA, candidate_pairs
 from europa_ray.stages.signatures import signature_task, signatures
 from europa_ray.state.unionfind import (
     component_label_arrays,
-    components_dense,
     connected_components_distributed,
     edge_arrays,
 )
@@ -139,11 +145,9 @@ def near_dup_pipeline(
     if pairs.count() > cfg.cc_driver_max_edges:
         # (node, cluster) Dataset, ≪ corpus
         labels = connected_components_distributed(pairs).materialize()
-    elif "dense_pairs" in aux and extra_pairs is None:
-        # the verified LSH pairs on candidate_pairs' dense node index
-        node_ids, (ia, ib) = aux["node_ids"], aux["dense_pairs"]
-        node, label = components_dense(node_ids.shape[0], ia, ib)
-        labels = node_ids[node], node_ids[label]
+    elif "labels" in aux and extra_pairs is None:
+        # the union-find candidate_pairs' reduce task ran on its dense index
+        labels = aux["labels"]
     else:  # exact verification, extra passes, or a budget fallback ran
         labels = component_label_arrays(pairs)
 

@@ -622,24 +622,6 @@ def split_assign(
     return files.map_batches(assign, batch_format="pyarrow")
 
 
-def split_thresholds(
-    fractions: tuple[tuple[str, float], ...] = (
-        ("train", 0.9),
-        ("val", 0.05),
-        ("test", 0.05),
-    ),
-) -> list[tuple[str, int]]:
-    """(name, exclusive-upper-u64-bound) per split — the literals the DuckDB
-    oracle embeds (the final split's bound is 2^64, returned as-is for the
-    CASE/ELSE construction)."""
-    cum = np.cumsum([f for _, f in fractions])
-    out = []
-    for (name, _), c in zip(fractions, cum):
-        out.append((name, int(_rate_to_threshold(min(float(c), 1.0)))))
-    out[-1] = (out[-1][0], 1 << 64)
-    return out
-
-
 PRIORITY_SCHEMA = pa.schema(
     [
         pa.field("doc_id", pa.int64()),

@@ -6,10 +6,12 @@ QdrantRepository.cs:184-206``): instead of an external vector index with a
 bulk-load/poll-green barrier (``SimilarImageFinder.cs:69-82``), candidates
 come from band buckets of the MinHash signatures.
 
-Default path (:func:`candidate_pairs`): raw tasks explode (band_key, node)
-per signature block; pairing, dedup and verification (the score-threshold
-rule, ``QdrantRepository.cs:192``) run on dense indices into the sorted
-distinct nodes, which the union-find reuses. Above a driver budget: a
+Default path (:func:`candidate_pairs`): a chain of raw tasks linked by
+object refs explodes (band_key, node) per signature block, indexes the
+nodes densely, pairs, dedups and verifies (the score-threshold rule,
+``QdrantRepository.cs:192``) on those indices and runs the union-find on
+them, so, like Europa's API process receiving only neighbour ids from the
+index, the driver receives only node-sized labels. Above a budget: a
 ``groupby(band_key)`` shuffle with verification INSIDE the pairing function
 from the signatures carried through the explode — no driver-side state.
 
@@ -33,6 +35,7 @@ from europa_ray.stages.signatures import minhash_matrix, pack_sigs
 from europa_ray.util import (
     block_tasks,
     cluster_cpus,
+    dataset_block_refs,
     default_num_partitions,
     hash_join,
     remote_fn,
@@ -52,6 +55,9 @@ CAND_SCHEMA = pa.schema([pa.field("a", pa.int64()), pa.field("b", pa.int64())])
 
 _log = logging.getLogger(__name__)
 
+# candidate nodes whose signatures verification gathers into one process;
+# above it candidate_pairs falls back to the inline band path
+GATHER_MAX_NODES = 2_000_000
 # pairs compared per step of match_fraction: two 1024 × 128 uint32 gathers
 # (1 MiB, cache-sized) whatever the pair count
 VERIFY_CHUNK = 1024
@@ -266,30 +272,38 @@ def _pair_nodes_group(group: pa.Table, cfg: EngineConfig = DEFAULT_CONFIG) -> pa
 
 
 def verify_pairs_by_signature(
-    cand, sig_ds, cfg: EngineConfig = DEFAULT_CONFIG, *, gather_max_nodes: int = 2_000_000
+    cand, sig_ds, cfg: EngineConfig = DEFAULT_CONFIG, *, gather_max_nodes: int = GATHER_MAX_NODES
 ):
     """Estimated-Jaccard verification of candidate (a, b) pairs (a
     ``pa.Table`` or pandas DataFrame) from the signature table (the
     score-threshold rule, ``QdrantRepository.cs:192``). Returns the pairs
     that pass, in input order, as a :data:`PAIRS_SCHEMA` table.
 
-    A wrapper for callers that hold node ids: one
+    A driver-side entry for callers that hold node ids: one
     ``np.unique(..., return_inverse=True)`` maps them onto dense indices
-    for :func:`_verify_indexed`, which ``candidate_pairs`` calls directly
-    with the indices it paired on. Only the candidate nodes' packed
-    signatures are gathered (≈512 B each), and :func:`match_fraction`
-    compares the pairs chunk by chunk, so the driver's temporaries stay a
-    few MiB at any pair count. Above ``gather_max_nodes`` candidate nodes
-    it raises ``ValueError``; callers then use the inline-signature
-    explode (``explode_bands`` + ``pair_band_group``).
+    for :func:`_verify_indexed`, which ``candidate_pairs``' reduce task
+    calls directly with the indices it paired on. Only the candidate nodes'
+    packed signatures are gathered (≈512 B each, one raw task per signature
+    block), and :func:`match_fraction` compares the pairs chunk by chunk,
+    so the temporaries stay a few MiB at any pair count. Above
+    ``gather_max_nodes`` candidate nodes it raises ``ValueError``; callers
+    then use the inline-signature explode (``explode_bands`` +
+    ``pair_band_group``).
     """
+    import ray
+
     a = np.asarray(cand["a"], np.int64)
     b = np.asarray(cand["b"], np.int64)
     if a.shape[0] == 0:
         return PAIRS_SCHEMA.empty_table()
     nodes, inv = np.unique(np.concatenate([a, b]), return_inverse=True)
+
+    def gather(needed: np.ndarray):
+        picked = ray.get(block_tasks(sig_ds, _pick_candidate_sigs, needed, cfg.num_perm))
+        return _concat_picked(picked, cfg.num_perm)
+
     keep, est = _verify_indexed(
-        sig_ds, nodes, inv[: a.shape[0]], inv[a.shape[0] :], cfg,
+        gather, nodes, inv[: a.shape[0]], inv[a.shape[0] :], cfg,
         gather_max_nodes=gather_max_nodes,
     )
     return _pairs_table(a[keep], b[keep], est[keep])
@@ -307,15 +321,17 @@ def _pairs_table(a: np.ndarray, b: np.ndarray, est: np.ndarray) -> pa.Table:
 
 
 def _verify_indexed(
-    sig_ds, node_ids: np.ndarray, ia: np.ndarray, ib: np.ndarray,
-    cfg: EngineConfig, *, gather_max_nodes: int = 2_000_000,
+    gather, node_ids: np.ndarray, ia: np.ndarray, ib: np.ndarray,
+    cfg: EngineConfig, *, gather_max_nodes: int = GATHER_MAX_NODES,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Verification of the pairs ``(node_ids[ia], node_ids[ib])`` given on
     indices into the SORTED distinct ``node_ids``: returns ``(keep, est)``
     over the input pairs. The nodes some pair uses are marked in one
-    scatter (no sort), only their signatures are gathered, and their rank
-    among the marked nodes is the row of the signature matrix. Raises
-    ``ValueError`` above ``gather_max_nodes`` marked nodes."""
+    scatter (no sort), only their signatures are gathered
+    (``gather(sorted nodes) -> (node, signature matrix)`` rows, a node
+    possibly repeated), and their rank among the marked nodes is the row
+    of the signature matrix. Raises ``ValueError`` above
+    ``gather_max_nodes`` marked nodes."""
     used = np.zeros(node_ids.shape[0], bool)
     used[ia] = True
     used[ib] = True
@@ -328,7 +344,7 @@ def _verify_indexed(
     rank = np.cumsum(used) - 1
     ia, ib = rank[ia], rank[ib]
 
-    got_nodes, got_sigs = _gather_candidate_sigs(sig_ds, nodes, cfg)
+    got_nodes, got_sigs = gather(nodes)
     # one signature per node (exact-dup rows share identical signatures)
     uniq, first = np.unique(got_nodes, return_index=True)
     sig = np.zeros((nodes.shape[0], cfg.num_perm), np.uint32)
@@ -341,10 +357,8 @@ def _verify_indexed(
 
 
 def _pick_candidate_sigs(tbl: pa.Table, nodes_s: np.ndarray, num_perm: int):
-    """One signature block → (node, sig_matrix) rows for candidate nodes
-    (runs as a raw Ray task: extraction + Arrow→NumPy deserialize happen in
-    parallel in workers; only the small candidate subset reaches the
-    driver)."""
+    """One signature block → (node, sig_matrix) rows for the candidate nodes
+    in the sorted ``nodes_s``."""
     mask = sorted_member(nodes_s, tbl["node"].to_numpy()) if tbl.num_rows else []
     if not np.any(mask):  # zero-row join blocks may carry no columns
         return np.empty(0, np.int64), np.empty((0, num_perm), np.uint32)
@@ -352,19 +366,13 @@ def _pick_candidate_sigs(tbl: pa.Table, nodes_s: np.ndarray, num_perm: int):
     return sub["node"].to_numpy(), minhash_matrix(sub, num_perm)
 
 
-def _gather_candidate_sigs(sig_ds, nodes_needed: np.ndarray, cfg: EngineConfig):
-    """Gather candidate nodes' packed signatures via raw tasks over the
-    MATERIALIZED signature table's blocks — no second Dataset executor pass,
-    parallel per-block filtering/deserialization (measured ~2.5× faster
-    than the filter-stage + driver-iter shape at 1M rows)."""
-    import ray
-
-    results = ray.get(block_tasks(sig_ds, _pick_candidate_sigs, nodes_needed, cfg.num_perm))
-    node_list = [r[0] for r in results if r[0].shape[0]]
-    sig_list = [r[1] for r in results if r[0].shape[0]]
-    if not node_list:
-        return np.empty(0, np.int64), np.empty((0, cfg.num_perm), np.uint32)
-    return np.concatenate(node_list), np.concatenate(sig_list)
+def _concat_picked(picked: list, num_perm: int) -> tuple[np.ndarray, np.ndarray]:
+    """The per-block :func:`_pick_candidate_sigs` results as one
+    (node, sig_matrix) pair."""
+    picked = [r for r in picked if r[0].shape[0]]
+    if not picked:
+        return np.empty(0, np.int64), np.empty((0, num_perm), np.uint32)
+    return np.concatenate([r[0] for r in picked]), np.concatenate([r[1] for r in picked])
 
 
 def _bucket_pair_keys(
@@ -448,13 +456,41 @@ def _pair_partition_worker(
     return _bucket_pair_keys(bk[mask], nd[mask], n_nodes, cfg, max_pairs)
 
 
+def _pair_partition_tasks(bk, nd, n_nodes, cfg: EngineConfig, max_pairs: int) -> list:
+    """One raw :func:`_pair_partition_worker` task per hash partition of the
+    band key (``2 × CPUs``, a power of two, at most 64); the arguments may be
+    object refs. Returns the tasks' refs."""
+    n_parts = 1
+    while n_parts < min(64, 2 * cluster_cpus()):
+        n_parts *= 2
+    # each checks the global cap; the merge re-checks the sum
+    worker = remote_fn(_pair_partition_worker)
+    return [worker.remote(bk, nd, n_nodes, p, n_parts, cfg, max_pairs) for p in range(n_parts)]
+
+
+def _merge_pair_keys(results, max_pairs: int) -> np.ndarray | int:
+    """The partitions' sorted distinct pair keys merged into one sorted
+    distinct array (a pair that collides in buckets of two partitions is
+    shipped by both), or the projected pair count when over ``max_pairs``:
+    the sum over the partitions that overran, or the total shipped key
+    count."""
+    over = [r for r in results if isinstance(r, int)]
+    if over:
+        return sum(over)
+    n_keys = sum(r.shape[0] for r in results)
+    if n_keys > max_pairs:
+        return n_keys
+    return np.unique(np.concatenate(results))
+
+
 def _pair_partitioned(
     bk: np.ndarray, nd: np.ndarray, n_nodes: int, cfg: EngineConfig, max_pairs: int
 ) -> np.ndarray | int:
-    """Per-bucket pairing, parallelized over hash partitions of band_key;
-    ``nd`` holds dense node indices below ``n_nodes``. Returns the sorted
-    distinct pair keys (:func:`_bucket_pair_keys`; unpack with
-    :func:`unpack_pair_keys`).
+    """Per-bucket pairing of driver-held arrays, parallelized over hash
+    partitions of band_key; ``nd`` holds dense node indices below
+    ``n_nodes``. Returns the sorted distinct pair keys
+    (:func:`_bucket_pair_keys`; unpack with :func:`unpack_pair_keys`), or
+    the projected pair count (an int) over budget.
 
     The sort+pair work is data-proportional; running it as ONE driver
     NumPy pass makes it a CPU-count-constant term that caps scaling
@@ -470,37 +506,88 @@ def _pair_partitioned(
 
     Each task ships its partition's distinct pair keys (a pair repeats in
     up to ``lsh_bands`` buckets: hot-families makes 2,069,670 band pairs
-    for 439,657 distinct ones); one ``np.unique`` on the driver removes the
-    pairs that collide in buckets of different partitions.
-
-    Over budget it returns the projected pair count (an int: the sum over
-    the partitions that overran, or the total shipped key count) instead
-    of keys.
+    for 439,657 distinct ones); :func:`_merge_pair_keys` removes the pairs
+    that collide in buckets of different partitions. ``candidate_pairs``
+    runs the same tasks on its index task's refs and merges in its reduce
+    task; the embedding ANN pairer calls this entry.
     """
     import ray
 
     if bk.shape[0] == 0:
         return np.empty(0, np.uint64)
-    cpus = cluster_cpus()
-    n_parts = 1
-    while n_parts < min(64, 2 * cpus):
-        n_parts *= 2
-    bk_ref = ray.put(bk)
-    nd_ref = ray.put(nd)
-    per_part_budget = max_pairs  # each checks the global cap; sum re-checked
-    worker = remote_fn(_pair_partition_worker)
-    futs = [
-        worker.remote(bk_ref, nd_ref, n_nodes, p, n_parts, cfg, per_part_budget)
-        for p in range(n_parts)
-    ]
-    results = ray.get(futs)
-    over = [r for r in results if isinstance(r, int)]
-    if over:
-        return sum(over)
-    n_keys = sum(r.shape[0] for r in results)
-    if n_keys > max_pairs:
-        return n_keys
-    return np.unique(np.concatenate(results))
+    refs = _pair_partition_tasks(ray.put(bk), ray.put(nd), n_nodes, cfg, max_pairs)
+    return _merge_pair_keys(ray.get(refs), max_pairs)
+
+
+def _index_nodes(n_bands: int, *parts) -> tuple:
+    """The index task: :func:`band_key_nodes` outputs of every signature
+    block → ``(band keys, dense node index per band key, node_ids,
+    dup_nodes, n_nodes)``. ``node_ids`` are the sorted distinct nodes,
+    whose positions are the dense indices; ``dup_nodes`` the nodes on two
+    or more rows (one content, so an exact-duplicate group; member
+    assembly uses them)."""
+    bk, row_nodes = (
+        np.concatenate([p[i] for p in parts] + [np.empty(0, np.int64)]) for i in (0, 1)
+    )
+    rs = np.sort(row_nodes)
+    newn = np.ones(rs.shape[0], dtype=bool)
+    newn[1:] = rs[1:] != rs[:-1]
+    node_ids = rs[newn]
+    nd = np.repeat(np.searchsorted(node_ids, row_nodes), n_bands)
+    return bk, nd, node_ids, np.unique(rs[~newn]), node_ids.shape[0]
+
+
+def _reduce_pairs(
+    node_ids: np.ndarray, cfg: EngineConfig, max_pairs: int, gather_max_nodes: int,
+    verify: bool, want_labels: bool, n_parts: int, *args,
+) -> tuple:
+    """The reduce task: ``args`` are the ``n_parts`` pairing partitions'
+    results, then the signature blocks (only with ``verify``). Merges the
+    partitions' pair keys, gathers the candidate nodes' signatures from the
+    blocks, verifies (:func:`_verify_indexed`) and, with ``want_labels``
+    and at most ``cfg.cc_driver_max_edges`` verified pairs, runs
+    :func:`components_dense` on the dense index.
+
+    Returns ``(pairs, labels, overrun)``: the pair table (verified
+    :data:`PAIRS_SCHEMA`, or the unverified :data:`CAND_SCHEMA` candidates
+    without ``verify``); the ``(node, label)`` arrays sorted by node, or
+    None; and None, or the message naming the budget a fallback must
+    report (then the table is empty)."""
+    from ray.data.block import BlockAccessor
+
+    from europa_ray.state.unionfind import components_dense
+
+    n = node_ids.shape[0]
+    schema = PAIRS_SCHEMA if verify else CAND_SCHEMA
+    keys = _merge_pair_keys(args[:n_parts], max_pairs)
+    if isinstance(keys, int):
+        why = f"{keys} projected candidate pairs > driver_max_cand_rows={max_pairs}"
+        return schema.empty_table(), None, why
+    ia, ib = unpack_pair_keys(keys, n)
+    if not verify:
+        return pa.table({"a": pa.array(node_ids[ia]), "b": pa.array(node_ids[ib])}), None, None
+
+    def gather(needed: np.ndarray):
+        picked = [
+            _pick_candidate_sigs(BlockAccessor.for_block(b).to_arrow(), needed, cfg.num_perm)
+            for b in args[n_parts:]
+        ]
+        return _concat_picked(picked, cfg.num_perm)
+
+    est = np.empty(0, np.float64)
+    if ia.shape[0]:
+        try:
+            keep, est = _verify_indexed(
+                gather, node_ids, ia, ib, cfg, gather_max_nodes=gather_max_nodes
+            )
+        except ValueError as exc:
+            return schema.empty_table(), None, str(exc)
+        ia, ib, est = ia[keep], ib[keep], est[keep]
+    labels = None
+    if want_labels and ia.shape[0] <= cfg.cc_driver_max_edges:
+        node, label = components_dense(n, ia, ib)
+        labels = node_ids[node], node_ids[label]
+    return _pairs_table(node_ids[ia], node_ids[ib], est), labels, None
 
 
 def candidate_pairs(
@@ -515,25 +602,38 @@ def candidate_pairs(
 ):
     """signatures Dataset → verified, deduplicated candidate pairs.
 
-    Default shape (raw tasks + driver small-data steps): one raw task per
-    signature block explodes its band keys (:func:`band_key_nodes`;
-    signatures stay OUT of any shuffle), gathered when the stream fits
-    ``driver_max_kn_rows`` rows. Sorting one node per row yields the
-    distinct nodes ``node_ids`` and the exact-duplicate node set
-    (``dup_nodes``, sparing member assembly its own corpus pass). Pairing
-    (:func:`_pair_partitioned`), the key merge and verification (estimated
-    Jaccard ≥ τ, :func:`_verify_indexed`) all run on dense, order-keeping
-    indices into ``node_ids``; with ``verify``, ``return_aux`` also hands
-    the caller ``node_ids`` and the verified pairs' indices
-    (``dense_pairs``) for the union-find.
+    Default shape: a chain of raw Ray tasks linked by object refs, so no
+    pair- or signature-sized array passes through the driver (the driver
+    only submits the tasks):
 
-    Fallback (any budget exceeded — kn stream, projected pair count, or
-    verification gather): the fully distributed inline-signature explode
+    - one band-key task per signature block (:func:`band_key_nodes`;
+      signatures stay OUT of any shuffle);
+    - one index task (:func:`_index_nodes`): the sorted distinct nodes
+      ``node_ids``, each band key's dense, order-keeping index into them,
+      and the exact-duplicate node set ``dup_nodes``;
+    - the pairing partitions over the band keys (:func:`_pair_partition_tasks`),
+      each shipping its distinct packed pair keys;
+    - one reduce task (:func:`_reduce_pairs`): key merge, candidate
+      signature gather from the signature block refs, verification
+      (estimated Jaccard ≥ τ − margin, :func:`_verify_indexed`) and, for
+      ``return_aux``, the union-find (:func:`components_dense`) on the
+      dense index up to ``cfg.cc_driver_max_edges`` verified pairs.
+
+    The pair table stays in the object store (the returned Dataset wraps
+    the reduce task's ref). The driver fetches only node-sized results:
+    with ``return_aux``, ``aux["dup_nodes"]`` (sparing member assembly its
+    own corpus pass) and, when the reduce ran the union-find,
+    ``aux["labels"]``, the ``(node, label)`` arrays sorted by node.
+
+    Fallback (a budget exceeded — the kn stream of ``rows × bands``, read
+    from block metadata before any task runs; the projected pair count,
+    ``driver_max_cand_rows``; the candidate nodes to gather,
+    :data:`GATHER_MAX_NODES`, both checked by the reduce task and reported
+    back): the fully distributed inline-signature explode
     (``explode_bands`` → ``pair_band_group``), where pairing AND
-    verification happen inside band groups with no driver state
-    (equivalence-tested by forcing the budgets to 0). Every fallback logs
-    one warning naming the budget and the observed size; its aux holds
-    ``dup_nodes`` only.
+    verification happen inside band groups (equivalence-tested by forcing
+    the budgets to 0). Every fallback logs one warning naming the budget
+    and the observed size; its aux holds ``dup_nodes`` only.
 
     ``verify=False`` returns the deduplicated UNVERIFIED candidate set
     (schema ``(a, b)``) — the feed for content-level exact verification
@@ -567,43 +667,28 @@ def candidate_pairs(
             "(band_key, node) stream of %d rows > driver_max_kn_rows=%d",
             n_kn, driver_max_kn_rows,
         )
-    parts = ray.get(block_tasks(sig_ds, band_key_nodes, cfg))
-    bk, row_nodes = (
-        np.concatenate([p[i] for p in parts] + [np.empty(0, np.int64)]) for i in (0, 1)
-    )
-
-    # distinct nodes, and the exact-dup node set (a node on ≥ 2 rows shares
-    # its content; used by member assembly)
-    rs = np.sort(row_nodes)
-    newn = np.ones(rs.shape[0], dtype=bool)
-    newn[1:] = rs[1:] != rs[:-1]
-    node_ids = rs[newn]
-    aux["dup_nodes"] = np.unique(rs[~newn])
-
     # pair on dense node indices: they keep node order, so the pairs and
     # their order are the ones node ids give
-    n = node_ids.shape[0]
-    nd = np.repeat(np.searchsorted(node_ids, row_nodes), b_)
-    keys = _pair_partitioned(bk, nd, n, cfg, driver_max_cand_rows)
-    if isinstance(keys, int):
-        return _inline(
-            "%d projected candidate pairs > driver_max_cand_rows=%d",
-            keys, driver_max_cand_rows,
-        )
-    ia, ib = unpack_pair_keys(keys, n)
-    if not verify:
-        cand = pa.table({"a": pa.array(node_ids[ia]), "b": pa.array(node_ids[ib])})
-        return _ret(ray.data.from_arrow(cand))
-    est = np.empty(0, np.float64)
-    if ia.shape[0]:
-        try:
-            keep, est = _verify_indexed(sig_ds, node_ids, ia, ib, cfg)
-        except ValueError as exc:
-            return _inline("%s", exc)
-        ia, ib, est = ia[keep], ib[keep], est[keep]
-    aux["node_ids"] = node_ids
-    aux["dense_pairs"] = (ia, ib)
-    return _ret(ray.data.from_arrow(_pairs_table(node_ids[ia], node_ids[ib], est)))
+    bk, nd, node_ids, dup_nodes, n = (
+        remote_fn(_index_nodes).options(num_returns=5)
+        .remote(b_, *block_tasks(sig_ds, band_key_nodes, cfg))
+    )
+    parts = _pair_partition_tasks(bk, nd, n, cfg, driver_max_cand_rows)
+    blocks = dataset_block_refs(sig_ds) if verify else []
+    pairs, labels, overrun = remote_fn(_reduce_pairs).options(num_returns=3).remote(
+        node_ids, cfg, driver_max_cand_rows, GATHER_MAX_NODES, verify, return_aux,
+        len(parts), *parts, *blocks,
+    )
+    if return_aux:
+        aux["dup_nodes"] = ray.get(dup_nodes)
+    why = ray.get(overrun)
+    if why is not None:
+        return _inline("%s", why)
+    if return_aux and verify:
+        labels = ray.get(labels)
+        if labels is not None:
+            aux["labels"] = labels
+    return _ret(ray.data.from_arrow_refs(pairs))
 
 
 def _candidate_pairs_inline(sig_ds, kn, cfg: EngineConfig, num_partitions: int, *, verify: bool = True):

@@ -13,7 +13,9 @@ Two implementations:
   edges given as dense node indices. Edges = verified near-dup pairs,
   orders of magnitude smaller than the corpus; up to ``cc_driver_max_edges``
   this is the fastest correct choice and keeps zero extra shuffles. The
-  near-dup pipeline hands it the indices ``candidate_pairs`` verified on;
+  one-shot near-dup pipeline runs it inside ``candidate_pairs``' reduce
+  task, on the dense indices that task verified on, so only the
+  ``(node, label)`` arrays reach the driver;
   ``component_label_arrays`` runs it on an (a, b) pairs Dataset, and
   ``connected_components_driver`` and ``components`` turn that into a
   ``{node: cluster}`` dict.
@@ -217,9 +219,9 @@ def components(pairs_ds, *, driver_max_edges: int = 5_000_000):
     hash-to-min above the threshold (returns a ``(node, cluster)`` Dataset
     — labels NEVER land on the driver; member assembly joins them back,
     ``pipelines/neardup.py:assemble_members``). The one-shot near-dup
-    pipeline calls :func:`components_dense` / :func:`component_label_arrays`
-    itself and hands assembly sorted label arrays; this entry serves the
-    ``--checkpoint`` flow and semdedup."""
+    pipeline takes its labels from ``candidate_pairs``' reduce task (or
+    :func:`component_label_arrays`) and hands assembly sorted label
+    arrays; this entry serves the ``--checkpoint`` flow and semdedup."""
     n_edges = pairs_ds.count()
     if n_edges <= driver_max_edges:
         return connected_components_driver(pairs_ds)

@@ -42,10 +42,26 @@ def test_every_module_imports_and_cli_subcommands():
     assert set(sub.choices) == CLI_SUBCOMMANDS
 
 
+def _defined_names(node: ast.stmt) -> list[str]:
+    """Names a module-level statement defines: a ``def``/``class`` name, or
+    the plain names an assignment binds (``__all__``-style dunders aside)."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return []
+    names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return [n for n in names if not (n.startswith("__") and n.endswith("__"))]
+
+
 def test_every_engine_definition_is_named_elsewhere():
-    """Every module-level ``def`` and ``class`` in ``europa_ray/`` is named
-    somewhere outside its own definition: in the engine, ``__ray_entry__.py``,
-    ``perfbench/`` or ``tests/``. A definition nothing names is dead code."""
+    """Every module-level ``def``, ``class`` and assigned name in
+    ``europa_ray/`` is named somewhere outside its own definition: in the
+    engine, ``__ray_entry__.py``, ``perfbench/`` or ``tests/``. A definition
+    nothing names is dead code."""
     word = re.compile(r"\w+")
     files = [REPO / "__ray_entry__.py"] + [
         p for d in ("europa_ray", "perfbench", "tests") for p in sorted((REPO / d).rglob("*.py"))
@@ -58,10 +74,10 @@ def test_every_engine_definition_is_named_elsewhere():
             continue
         lines = text.splitlines()
         for node in ast.parse(text).body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                own = word.findall("\n".join(lines[node.lineno - 1 : node.end_lineno]))
-                if named[node.name] == own.count(node.name):
-                    dead.append(f"{p.relative_to(REPO)}:{node.lineno} {node.name}")
+            own = word.findall("\n".join(lines[node.lineno - 1 : node.end_lineno]))
+            for name in _defined_names(node):
+                if named[name] == own.count(name):
+                    dead.append(f"{p.relative_to(REPO)}:{node.lineno} {name}")
     assert not dead, dead
 
 

@@ -337,28 +337,58 @@ def _one_table(ds):
     return pa.concat_tables(ray.get(ds.to_arrow_refs()))
 
 
-def test_trace_chain_equals_pipeline(ray_session, tiny_corpus):
+@pytest.fixture(scope="module")
+def family_corpus(tmp_path_factory):
+    """8 families of 30 near-identical files (200 words, each file one word
+    off its family's base) and 20 unrelated files: ~3,500 verified pairs
+    on 260 rows, so any pair-sized array is longer than the corpus."""
+    import pyarrow as pa
+
+    rng = np.random.default_rng(5)
+    vocab = np.array([f"w{i}" for i in range(2000)])
+    docs = []
+    for _ in range(8):
+        base = rng.integers(0, vocab.shape[0], 200)
+        for _ in range(30):
+            doc = base.copy()
+            doc[rng.integers(0, 200)] = rng.integers(0, vocab.shape[0])
+            docs.append(doc)
+    docs += [rng.integers(0, vocab.shape[0], 200) for _ in range(20)]
+    n = len(docs)
+    files = pa.table({
+        "repo": [f"r{i % 7}" for i in range(n)],
+        "path": [f"src/f{i}.py" for i in range(n)],
+        "commit": ["c0"] * n,
+        "lang": ["python"] * n,
+        "content": [" ".join(vocab[d]) for d in docs],
+    })
+    out = tmp_path_factory.mktemp("families")
+    for s in range(4):
+        pq.write_table(files.slice(s * 65, 65), str(out / f"part-{s}.parquet"))
+    return str(out)
+
+
+def _assert_chain_equals_pipeline(files, cfg):
     """The layer-by-layer public entries the benchmark trace calls
     (candidates, then ``verify_pairs_by_signature``, ``components`` and
     ``assemble_members`` with a dict) give the same pair and cluster tables
-    as ``near_dup_pipeline``, row order included."""
+    as ``near_dup_pipeline`` under ``cfg``, row order included. Returns the
+    pair table."""
     import ray.data
 
-    from europa_ray.config import DEFAULT_CONFIG as cfg
     from europa_ray.pipelines.neardup import assemble_members, near_dup_pipeline
     from europa_ray.stages.lsh import candidate_pairs, verify_pairs_by_signature
     from europa_ray.stages.signatures import signatures
     from europa_ray.state.unionfind import components
 
-    files = ray.data.read_parquet(tiny_corpus)
-    out = near_dup_pipeline(files)
+    out = near_dup_pipeline(files, cfg)
 
     sigs = signatures(files, cfg, compute_fuzzy=False).materialize()
     cand, aux = candidate_pairs(sigs, cfg, return_aux=True, verify=False)
     pairs = ray.data.from_arrow(
         verify_pairs_by_signature(cand.materialize().to_pandas(), sigs, cfg)
     ).materialize()
-    labels = components(pairs, driver_max_edges=cfg.cc_driver_max_edges)
+    labels = components(pairs)
     assert isinstance(labels, dict)
     clusters = assemble_members(sigs, labels, cfg, dup_nodes=aux["dup_nodes"])
 
@@ -367,6 +397,83 @@ def test_trace_chain_equals_pipeline(ray_session, tiny_corpus):
     assert want_pairs.num_rows > 0 and want_clusters.num_rows > 0
     assert got_pairs.equals(want_pairs)
     assert got_clusters.equals(want_clusters)
+    return want_pairs
+
+
+def test_trace_chain_equals_pipeline(ray_session, tiny_corpus):
+    """The benchmark's step-by-step path equals the pipeline on the tiny
+    planted corpus."""
+    import ray.data
+
+    from europa_ray.config import DEFAULT_CONFIG
+
+    _assert_chain_equals_pipeline(ray.data.read_parquet(tiny_corpus), DEFAULT_CONFIG)
+
+
+def test_trace_chain_equals_pipeline_on_families(ray_session, family_corpus):
+    """The same on a corpus whose verified pairs outnumber its rows 5×."""
+    import ray.data
+
+    from europa_ray.config import DEFAULT_CONFIG
+
+    files = ray.data.read_parquet(family_corpus)
+    pairs = _assert_chain_equals_pipeline(files, DEFAULT_CONFIG)
+    assert pairs.num_rows >= 5 * files.count()
+
+
+@pytest.mark.parametrize("corpus", ["tiny_corpus", "family_corpus"])
+def test_trace_chain_equals_pipeline_distributed_cc(ray_session, corpus, request):
+    """With ``cc_driver_max_edges=0`` the pipeline runs the distributed
+    union-find on the pair table its reduce task left in the object store,
+    and still equals the step-by-step path."""
+    import ray.data
+
+    from europa_ray.config import EngineConfig
+
+    files = ray.data.read_parquet(request.getfixturevalue(corpus))
+    _assert_chain_equals_pipeline(files, EngineConfig(cc_driver_max_edges=0))
+
+
+def test_no_pair_sized_array_reaches_the_driver(ray_session, family_corpus, monkeypatch):
+    """The one-shot pipeline keeps candidate keys, signatures and pair
+    tables in tasks: no NumPy array or Arrow table the driver fetches with
+    ``ray.get`` is longer than the corpus has rows, though the verified
+    pairs outnumber the rows 5×."""
+    import pyarrow as pa
+    import ray
+    import ray.data
+
+    from europa_ray.pipelines.neardup import near_dup_pipeline
+
+    files = ray.data.read_parquet(family_corpus).materialize()
+    n_rows = files.count()
+    longest = []
+
+    def lengths(x):
+        if isinstance(x, (list, tuple)):
+            return [n for v in x for n in lengths(v)]
+        if isinstance(x, dict):
+            return lengths(list(x.values()))
+        if isinstance(x, np.ndarray) and x.ndim:
+            return [x.shape[0]]
+        if isinstance(x, (pa.Table, pa.RecordBatch)):
+            return [x.num_rows]
+        if isinstance(x, (pa.Array, pa.ChunkedArray)):
+            return [len(x)]
+        return []
+
+    real_get = ray.get
+
+    def get(refs, *args, **kwargs):
+        out = real_get(refs, *args, **kwargs)
+        longest.extend(lengths(out))
+        return out
+
+    monkeypatch.setattr(ray, "get", get)
+    out = near_dup_pipeline(files)
+    monkeypatch.undo()
+    assert longest and max(longest) <= n_rows, (max(longest), n_rows)
+    assert out["pairs"].count() >= 5 * n_rows
 
 
 def test_pipeline_on_fully_filtered_input(ray_session, tiny_corpus):

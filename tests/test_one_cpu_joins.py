@@ -126,7 +126,9 @@ for name, fn in __ray_entry__.queries().items():
     except Exception:
         err = traceback.format_exc()[-3000:]
     s = round(time.perf_counter() - t0, 2)
-    print("RESULT " + json.dumps({"name": name, "s": s, "err": err}), flush=True)
+    # a new line first: DuckDB's progress bar (an oracle query over ~2 s)
+    # can leave its last update on the log without a line end
+    print("\nRESULT " + json.dumps({"name": name, "s": s, "err": err}), flush=True)
 ray.shutdown()
 """
 

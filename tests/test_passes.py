@@ -219,17 +219,11 @@ def test_candidate_pairs_gather_guard_falls_back_inline(
 ):
     """A gather-verify overflow (more candidate nodes than
     ``gather_max_nodes``) falls back to the inline path: same pairs as the
-    default path, and a warning. ``candidate_pairs`` verifies through the
-    dense-index entry ``_verify_indexed``."""
-    import functools
-
+    default path, and a warning. ``candidate_pairs`` hands its reduce task
+    the budget ``GATHER_MAX_NODES``, read when it submits the task."""
     from europa_ray.stages import lsh
 
-    monkeypatch.setattr(
-        lsh,
-        "_verify_indexed",
-        functools.partial(lsh._verify_indexed, gather_max_nodes=0),
-    )
+    monkeypatch.setattr(lsh, "GATHER_MAX_NODES", 0)
     _assert_inline_fallback(caplog, sigs_and_default, "gather_max_nodes=0")
 
 

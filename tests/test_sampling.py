@@ -493,6 +493,22 @@ def test_split_assign_duplicates_share_split(ray_session):
     assert 0 not in got.index and 1 not in got.index
 
 
+def test_split_assign_oracle_literals_are_engine_thresholds():
+    """The ``split_assign`` DuckDB oracle embeds its two split bounds as
+    integer literals; they are the thresholds ``split_assign`` computes
+    for its default 90/5/5 fractions."""
+    import re
+
+    import __ray_entry__
+    from europa_ray.pipelines.sampling import _rate_to_threshold
+
+    sql = __ray_entry__.oracle_sql()["split_assign"]
+    literals = [int(x) for x in re.findall(r"(\d+)::UBIGINT", sql)]
+    assert literals == [16602069666338596864, 17524406870024075264]
+    cum = np.cumsum([0.9, 0.05, 0.05])[:-1]
+    assert literals == [int(_rate_to_threshold(float(c))) for c in cum]
+
+
 def test_split_assign_validation(ray_session):
     import ray.data
 
